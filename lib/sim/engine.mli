@@ -50,7 +50,11 @@ val run :
   int option
 (** One simulation; [Some t] if the target fell at tick [t] (the entry
     itself gives [Some 0]), [None] if it survived [max_ticks] (default
-    10,000) ticks. *)
+    10,000) ticks.
+    @raise Invalid_argument ["Engine: entry out of range"] or
+    ["Engine: target out of range"] for an endpoint that is not a host;
+    every simulation entry point below checks its endpoints the same
+    way before it builds the rate table. *)
 
 val mttc :
   rng:Random.State.t ->
@@ -63,7 +67,8 @@ val mttc :
   entry:int ->
   target:int ->
   mttc_stats
-(** Mean-time-to-compromise over repeated runs (the paper uses 1,000). *)
+(** Mean-time-to-compromise over repeated runs (the paper uses 1,000).
+    @raise Invalid_argument on a bad endpoint, as {!run}. *)
 
 val mttc_samples :
   rng:Random.State.t ->
@@ -76,7 +81,8 @@ val mttc_samples :
   entry:int ->
   target:int ->
   int array
-(** Raw compromise times of the successful runs, in run order. *)
+(** Raw compromise times of the successful runs, in run order.
+    @raise Invalid_argument on a bad endpoint, as {!run}. *)
 
 val mttc_summary :
   rng:Random.State.t ->
@@ -90,7 +96,8 @@ val mttc_summary :
   target:int ->
   mttc_stats * Stat.summary option
 (** {!mttc} plus a full distribution summary ([None] when no run reached
-    the target). *)
+    the target).
+    @raise Invalid_argument on a bad endpoint, as {!run}. *)
 
 val mttc_parallel :
   ?domains:int ->
@@ -107,7 +114,9 @@ val mttc_parallel :
   mttc_stats
 (** Multicore {!mttc}: runs are distributed over [domains] (default 4)
     OCaml domains; each run seeds its own generator from [(seed, index)],
-    so the result is identical for every domain count. *)
+    so the result is identical for every domain count.
+    @raise Invalid_argument when [domains < 1], or on a bad endpoint, as
+    {!run}. *)
 
 val epidemic_curve :
   rng:Random.State.t ->
@@ -120,7 +129,9 @@ val epidemic_curve :
   int array
 (** Number of infected hosts after each tick of a single run, until the
     infection stops spreading or the cap is reached.  Index 0 is the state
-    after tick 1. *)
+    after tick 1.
+    @raise Invalid_argument ["Engine: entry out of range"] for an entry
+    that is not a host. *)
 
 (** {1 Detection and response}
 

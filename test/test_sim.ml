@@ -5,6 +5,8 @@ module Gen = Netdiv_graph.Gen
 module Graph = Netdiv_graph.Graph
 module Network = Netdiv_core.Network
 module Assignment = Netdiv_core.Assignment
+module Fault = Netdiv_fault.Fault
+module Obs = Netdiv_obs.Obs
 
 let rng seed = Random.State.make [| seed |]
 
@@ -312,6 +314,366 @@ let test_defended_validation () =
   | _ -> Alcotest.fail "accepted detect_rate > 1"
   | exception Invalid_argument _ -> ()
 
+(* ------------------------------------------------- endpoint validation *)
+
+(* every public entry point rejects a bad endpoint with the documented
+   message before it builds the rate table (the Arsenal table reads the
+   entry host's services) *)
+let endpoint_cases =
+  let a = mono (line_net ()) in
+  let bad_entry = Invalid_argument "Engine: entry out of range" in
+  let bad_target = Invalid_argument "Engine: target out of range" in
+  let arsenal = Engine.Arsenal_exploit in
+  let case exn f = (exn, fun () -> ignore (f ())) in
+  [
+    ( "run",
+      [ case bad_entry (fun () ->
+            Engine.run ~rng:(rng 1) ~strategy:arsenal a ~entry:99 ~target:0);
+        case bad_target (fun () ->
+            Engine.run ~rng:(rng 1) a ~entry:0 ~target:5) ] );
+    ( "mttc",
+      [ case bad_entry (fun () ->
+            Engine.mttc ~rng:(rng 1) ~strategy:arsenal ~runs:3 a ~entry:(-1)
+              ~target:0);
+        case bad_target (fun () ->
+            Engine.mttc ~rng:(rng 1) ~runs:3 a ~entry:0 ~target:99) ] );
+    ( "mttc_samples",
+      [ case bad_entry (fun () ->
+            Engine.mttc_samples ~rng:(rng 1) ~strategy:arsenal ~runs:3 a
+              ~entry:5 ~target:0);
+        case bad_target (fun () ->
+            Engine.mttc_samples ~rng:(rng 1) ~runs:3 a ~entry:0
+              ~target:(-1)) ] );
+    ( "mttc_summary",
+      [ case bad_entry (fun () ->
+            Engine.mttc_summary ~rng:(rng 1) ~strategy:arsenal ~runs:3 a
+              ~entry:5 ~target:0);
+        case bad_target (fun () ->
+            Engine.mttc_summary ~rng:(rng 1) ~runs:3 a ~entry:0 ~target:5) ] );
+    ( "mttc_parallel",
+      [ case bad_entry (fun () ->
+            Engine.mttc_parallel ~seed:1 ~strategy:arsenal ~runs:3 a ~entry:5
+              ~target:0 ());
+        case bad_target (fun () ->
+            Engine.mttc_parallel ~seed:1 ~runs:3 a ~entry:0 ~target:5 ()) ] );
+    ( "epidemic_curve",
+      [ case bad_entry (fun () ->
+            Engine.epidemic_curve ~rng:(rng 1) ~strategy:arsenal a
+              ~entry:5) ] );
+  ]
+
+let endpoint_tests =
+  List.map
+    (fun (name, cases) ->
+      Alcotest.test_case ("endpoint validation: " ^ name) `Quick (fun () ->
+          List.iter (fun (exn, f) -> Alcotest.check_raises name exn f) cases))
+    endpoint_cases
+
+(* an injected crash of every pool chunk makes the pool re-execute the
+   chunks; each re-executed block must start from a clean workspace, so
+   the stats equal the fault-free run's *)
+let test_mttc_parallel_chunk_faults () =
+  let net = line_net ~n:8 ~sim:0.3 () in
+  let a = alternating net in
+  let batch strategy =
+    Engine.mttc_parallel ~domains:4 ~seed:17 ~strategy ~runs:200 a ~entry:0
+      ~target:7 ()
+  in
+  List.iter
+    (fun strategy ->
+      let clean = batch strategy in
+      Fault.set_spec (Some "rate=1.0,only=pool.chunk");
+      Fault.reset ();
+      let faulty, fired =
+        Fun.protect
+          ~finally:(fun () ->
+            Fault.set_spec (Some "");
+            Fault.reset ())
+          (fun () ->
+            let s = batch strategy in
+            (s, Fault.fired_count ()))
+      in
+      Alcotest.(check bool) "chunks crashed" true (fired > 0);
+      Alcotest.(check int) "same successes" clean.Engine.successes
+        faulty.Engine.successes;
+      Alcotest.(check (float 0.0)) "same mean" clean.Engine.mean_ticks
+        faulty.Engine.mean_ticks)
+    [ Engine.Best_exploit; Engine.Uniform_exploit ]
+
+(* ----------------------------------------------- differential vs oracle *)
+
+(* A small random instance, built from [c_seed]: up to 12 hosts, 1-3
+   services run by a random subset of hosts (possibly none), random
+   symmetric similarity tables.  [zero_sim] gives every host its own
+   product and every distinct pair similarity 0: with a zero floor the
+   worm is dead on arrival. *)
+type case = {
+  c_seed : int;
+  hosts : int;
+  zero_sim : bool;
+  strategy : Engine.strategy;
+  sim_floor : float;
+  attempt_scale : float;
+  max_ticks : int;
+  entry : int;
+  target : int;
+  run_seed : int;
+  runs : int;
+  detect_rate : float;
+  immunize : bool;
+}
+
+let strategy_name = function
+  | Engine.Best_exploit -> "best"
+  | Engine.Uniform_exploit -> "uniform"
+  | Engine.Arsenal_exploit -> "arsenal"
+
+let print_case c =
+  Printf.sprintf
+    "{seed=%d hosts=%d zero_sim=%b strategy=%s floor=%g scale=%g \
+     max_ticks=%d entry=%d target=%d run_seed=%d runs=%d detect=%g \
+     immunize=%b}"
+    c.c_seed c.hosts c.zero_sim (strategy_name c.strategy) c.sim_floor
+    c.attempt_scale c.max_ticks c.entry c.target c.run_seed c.runs
+    c.detect_rate c.immunize
+
+let build_case c =
+  let r = Random.State.make [| c.c_seed |] in
+  let n = c.hosts in
+  let density = [| 0.3; 0.6; 0.9 |].(Random.State.int r 3) in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Random.State.float r 1.0 < density then edges := (u, v) :: !edges
+    done
+  done;
+  let n_services = 1 + Random.State.int r 3 in
+  let levels = [| 0.0; 0.0; 0.3; 0.6; 0.9 |] in
+  let services =
+    Array.init n_services (fun s ->
+        let p = if c.zero_sim then n else 1 + Random.State.int r 3 in
+        let sim = Array.make (p * p) 0.0 in
+        for i = 0 to p - 1 do
+          sim.((i * p) + i) <- 1.0;
+          for j = i + 1 to p - 1 do
+            let x =
+              if c.zero_sim then 0.0
+              else levels.(Random.State.int r (Array.length levels))
+            in
+            sim.((i * p) + j) <- x;
+            sim.((j * p) + i) <- x
+          done
+        done;
+        { Network.sv_name = Printf.sprintf "s%d" s;
+          sv_products = Array.init p (Printf.sprintf "p%d");
+          sv_similarity = sim })
+  in
+  let hosts =
+    Array.init n (fun h ->
+        { Network.h_name = Printf.sprintf "h%d" h;
+          h_services =
+            List.filter_map
+              (fun s ->
+                if Random.State.float r 1.0 < 0.7 then Some (s, [||])
+                else None)
+              (List.init n_services Fun.id) })
+  in
+  let net =
+    Network.create ~graph:(Graph.of_edges ~n !edges) ~services ~hosts
+  in
+  let product =
+    Array.init n (fun h ->
+        Array.init n_services (fun s ->
+            if c.zero_sim then h
+            else
+              Random.State.int r
+                (Array.length services.(s).Network.sv_products)))
+  in
+  Assignment.make net (fun ~host ~service -> product.(host).(service))
+
+let case_gen =
+  QCheck2.Gen.(
+    let* c_seed = 0 -- 1_000_000 in
+    let* hosts = 1 -- 12 in
+    let* zero_sim = frequency [ (1, return true); (3, return false) ] in
+    let* strategy =
+      oneofl
+        [ Engine.Best_exploit; Engine.Uniform_exploit; Engine.Arsenal_exploit ]
+    in
+    let* sim_floor = oneofl [ 0.0; Engine.default_sim_floor ] in
+    let* attempt_scale = oneofl [ 1.0; Engine.default_attempt_scale ] in
+    let* max_ticks = oneofl [ 1; 2; 3; 6; 10_000 ] in
+    let* entry = 0 -- (hosts - 1) in
+    let* target = frequency [ (1, return entry); (4, 0 -- (hosts - 1)) ] in
+    let* run_seed = 0 -- 1_000_000 in
+    let* runs = 1 -- 8 in
+    let* detect_rate = oneofl [ 0.0; 0.2; 1.0 ] in
+    let* immunize = bool in
+    return
+      { c_seed; hosts; zero_sim; strategy; sim_floor; attempt_scale; max_ticks;
+        entry; target; run_seed; runs; detect_rate; immunize })
+
+let engine_counters =
+  List.map Obs.Counter.make
+    [ "engine.ticks"; "engine.exploit_attempts"; "engine.infections" ]
+
+(* [f ()] with the engine.* counter deltas it caused *)
+let with_deltas f =
+  let before = List.map Obs.Counter.value engine_counters in
+  let x = f () in
+  (x, List.map2 ( - ) (List.map Obs.Counter.value engine_counters) before)
+
+let tallies (t : Engine_oracle.tally) = [ t.ticks; t.attempts; t.infections ]
+
+let agree what pp expected actual =
+  if expected <> actual then
+    QCheck2.Test.fail_reportf "%s: oracle %s, engine %s" what (pp expected)
+      (pp actual)
+
+let pp_opt = function None -> "None" | Some t -> Printf.sprintf "Some %d" t
+let pp_ints xs = String.concat ";" (List.map string_of_int xs)
+let pp_arr xs = pp_ints (Array.to_list xs)
+
+(* same result, same engine.* deltas, and the rngs left in the same
+   state: the next draw is equal *)
+let agree_run what ~rng_o ~rng_e pp (expected, tally) (actual, deltas) =
+  agree (what ^ " result") pp expected actual;
+  agree (what ^ " counters") pp_ints (tallies tally) deltas;
+  agree (what ^ " next draw") string_of_int (Random.State.bits rng_o)
+    (Random.State.bits rng_e)
+
+let prop_kernel_matches_oracle =
+  QCheck2.Test.make ~count:500 ~print:print_case
+    ~name:"kernel matches the reference tick loop draw for draw" case_gen
+    (fun c ->
+      let a = build_case c in
+      let { strategy; sim_floor; attempt_scale; max_ticks; entry; target; _ } =
+        c
+      in
+      let defense =
+        { Engine.detect_rate = c.detect_rate; immunize = c.immunize }
+      in
+      let was_enabled = Obs.enabled () in
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
+      (* one run, fresh workspace *)
+      let rng_o = rng c.run_seed and rng_e = rng c.run_seed in
+      let tally = Engine_oracle.tally () in
+      let expected =
+        Engine_oracle.run ~tally ~rng:rng_o ~strategy ~attempt_scale ~sim_floor
+          ~max_ticks a ~entry ~target
+      in
+      agree_run "run" ~rng_o ~rng_e pp_opt (expected, tally)
+        (with_deltas (fun () ->
+             Engine.run ~rng:rng_e ~strategy ~attempt_scale ~sim_floor
+               ~max_ticks a ~entry ~target));
+      (* a batch on one reused workspace *)
+      let rng_o = rng c.run_seed and rng_e = rng c.run_seed in
+      let tally = Engine_oracle.tally () in
+      let expected =
+        List.filter_map Fun.id
+          (List.init c.runs (fun _ ->
+               Engine_oracle.run ~tally ~rng:rng_o ~strategy ~attempt_scale
+                 ~sim_floor ~max_ticks a ~entry ~target))
+      in
+      agree_run "mttc_samples" ~rng_o ~rng_e pp_ints (expected, tally)
+        (with_deltas (fun () ->
+             Array.to_list
+               (Engine.mttc_samples ~rng:rng_e ~strategy ~attempt_scale
+                  ~sim_floor ~max_ticks ~runs:c.runs a ~entry ~target)));
+      (* per-index rngs, any domain count *)
+      let tally = Engine_oracle.tally () in
+      let expected =
+        List.filter_map Fun.id
+          (List.init c.runs (fun i ->
+               Engine_oracle.run ~tally
+                 ~rng:(Random.State.make [| c.run_seed; i |])
+                 ~strategy ~attempt_scale ~sim_floor ~max_ticks a ~entry
+                 ~target))
+      in
+      let sum = List.fold_left ( + ) 0 expected in
+      let pp_stats (s, mean) = Printf.sprintf "%d successes, mean %h" s mean in
+      let expected_stats =
+        ( List.length expected,
+          if expected = [] then nan
+          else float_of_int sum /. float_of_int (List.length expected) )
+      in
+      List.iter
+        (fun domains ->
+          let stats, deltas =
+            with_deltas (fun () ->
+                Engine.mttc_parallel ~domains ~seed:c.run_seed ~strategy
+                  ~attempt_scale ~sim_floor ~max_ticks ~runs:c.runs a ~entry
+                  ~target ())
+          in
+          let got = (stats.Engine.successes, stats.Engine.mean_ticks) in
+          if
+            fst got <> fst expected_stats
+            || not (Float.equal (snd got) (snd expected_stats))
+          then
+            QCheck2.Test.fail_reportf
+              "mttc_parallel (%d domains): oracle %s, engine %s"
+              domains (pp_stats expected_stats) (pp_stats got);
+          agree "mttc_parallel counters" pp_ints (tallies tally) deltas)
+        [ 1; 3 ];
+      (* the epidemic curve *)
+      let rng_o = rng c.run_seed and rng_e = rng c.run_seed in
+      let tally = Engine_oracle.tally () in
+      let expected =
+        Engine_oracle.epidemic_curve ~tally ~rng:rng_o ~strategy ~attempt_scale
+          ~sim_floor ~max_ticks a ~entry
+      in
+      agree_run "epidemic_curve" ~rng_o ~rng_e pp_arr (expected, tally)
+        (with_deltas (fun () ->
+             Engine.epidemic_curve ~rng:rng_e ~strategy ~attempt_scale
+               ~sim_floor ~max_ticks a ~entry));
+      (* defended runs keep the full host-order scan *)
+      let rng_o = rng c.run_seed and rng_e = rng c.run_seed in
+      let tally = Engine_oracle.tally () in
+      let expected =
+        List.init c.runs (fun _ ->
+            Engine_oracle.run_defended ~tally ~rng:rng_o ~strategy
+              ~attempt_scale ~sim_floor ~max_ticks ~defense a ~entry ~target)
+      in
+      agree_run "run_defended" ~rng_o ~rng_e
+        (fun rs -> String.concat ";" (List.map pp_opt rs))
+        (expected, tally)
+        (with_deltas (fun () ->
+             List.init c.runs (fun _ ->
+                 Engine.run_defended ~rng:rng_e ~strategy ~attempt_scale
+                   ~sim_floor ~max_ticks ~defense a ~entry ~target)));
+      true)
+
+(* long batches (300 runs, one workspace) on 12-host graphs: hundreds
+   of workspace resets, each after a different infection history *)
+let test_long_batch_matches_oracle () =
+  List.iter
+    (fun (c_seed, strategy) ->
+      let c =
+        { c_seed; hosts = 12; zero_sim = false; strategy; sim_floor = 0.05;
+          attempt_scale = 0.3; max_ticks = 10_000; entry = 0; target = 11;
+          run_seed = c_seed; runs = 300; detect_rate = 0.0; immunize = false }
+      in
+      let { sim_floor; attempt_scale; max_ticks; entry; target; runs; _ } = c in
+      let a = build_case c in
+      let rng_o = rng c.run_seed and rng_e = rng c.run_seed in
+      let tally = Engine_oracle.tally () in
+      let expected =
+        List.filter_map Fun.id
+          (List.init runs (fun _ ->
+               Engine_oracle.run ~tally ~rng:rng_o ~strategy ~attempt_scale
+                 ~sim_floor ~max_ticks a ~entry ~target))
+      in
+      let got =
+        Engine.mttc_samples ~rng:rng_e ~strategy ~attempt_scale ~sim_floor
+          ~max_ticks ~runs a ~entry ~target
+      in
+      Alcotest.(check (list int)) (print_case c) expected (Array.to_list got);
+      Alcotest.(check int) "next draw" (Random.State.bits rng_o)
+        (Random.State.bits rng_e))
+    [ (3, Engine.Best_exploit); (4, Engine.Uniform_exploit);
+      (5, Engine.Arsenal_exploit); (6, Engine.Best_exploit) ]
+
 (* property: MTTC can never beat the BFS distance *)
 let prop_mttc_at_least_distance =
   QCheck2.Test.make ~count:30 ~name:"compromise time >= hop distance"
@@ -348,7 +710,8 @@ let () =
             test_epidemic_curve_monotone;
           Alcotest.test_case "invalid entry rejected" `Quick
             test_invalid_entry;
-        ] );
+        ]
+        @ endpoint_tests );
       ( "stat",
         [
           Alcotest.test_case "basics" `Quick test_stat_basics;
@@ -365,6 +728,10 @@ let () =
             test_mttc_parallel_matches_domains;
           Alcotest.test_case "mttc parallel uniform exploit" `Quick
             test_mttc_parallel_uniform_exploit;
+          Alcotest.test_case "mttc parallel under chunk faults" `Quick
+            test_mttc_parallel_chunk_faults;
+          Alcotest.test_case "long batch matches the oracle" `Quick
+            test_long_batch_matches_oracle;
         ] );
       ( "defense",
         [
@@ -376,5 +743,9 @@ let () =
             test_defended_rate_monotone;
           Alcotest.test_case "validation" `Quick test_defended_validation;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_mttc_at_least_distance ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_mttc_at_least_distance;
+          QCheck_alcotest.to_alcotest prop_kernel_matches_oracle;
+        ] );
     ]

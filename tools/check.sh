@@ -3,7 +3,8 @@
 # (surface + interprocedural effect analysis, diffed against the
 # checked-in lint_baseline.json),
 # run the full test suite (alcotest, qcheck and the CLI cram test),
-# re-run the pool suite with the NETDIV_SANITIZE race sanitizer enabled,
+# re-run the pool, MRF and sim suites with the NETDIV_SANITIZE race
+# sanitizer enabled,
 # run the fast benchmark smoke (parallel determinism, interning,
 # message-kernel and observability-overhead sections, writes
 # BENCH.json), diff the fresh report against the committed baseline
@@ -35,13 +36,15 @@ dune build @lint
 echo "== dune runtest"
 dune runtest
 
-echo "== pool + mrf tests under NETDIV_SANITIZE=1"
+echo "== pool + mrf + sim tests under NETDIV_SANITIZE=1"
 # dune does not track env vars, so run the test binaries directly: the
-# sanitizer must stay silent on the whole (race-free) pool suite and on
+# sanitizer must stay silent on the whole (race-free) pool suite, on
 # the MRF suite, which exercises the partitioned TRW-S and chromatic BP
-# schedules across job counts.
+# schedules across job counts, and on the sim suite, whose parallel
+# MTTC batches give every pool chunk its own simulation workspace.
 NETDIV_SANITIZE=1 dune exec test/test_par.exe -- --compact
 NETDIV_SANITIZE=1 dune exec test/test_mrf.exe -- --compact
+NETDIV_SANITIZE=1 dune exec test/test_sim.exe -- --compact
 
 echo "== bench smoke (parallel determinism + interning + kernels)"
 # keep the committed report as the regression baseline before the run
