@@ -920,13 +920,9 @@ let extension_anytime () =
 
 (* ---------------------------- parallel speedup & determinism checks *)
 
-(* The 4-zone segmented instance shared by the speedup and the
-   observability-overhead sections: four mutually isolated zones
-   (air-gapped ICS cells).  The component decomposition is this
-   section's unit of parallelism — one domain per air-gapped zone; the
-   single-component regime has its own section
-   ([intra_component_speedup]) exercising the partitioned schedules.
-   Both sections here must build the exact same instance so their
+(* The 4-zone segmented instance shared by the serial-reference and the
+   overhead sections: four mutually isolated zones (air-gapped ICS
+   cells).  Every section must build the exact same instance so their
    solver_energy fingerprints stay comparable. *)
 let segmented_instance () =
   let zones = 4 and zone_hosts = 200 in
@@ -961,70 +957,41 @@ let segmented_instance () =
   let net = Network.create ~graph ~services ~hosts in
   (net, zone_hosts)
 
-(* jobs=1 best and median times from scalability_speedup, reused by
-   observability_overhead and fault_overhead as their tracing-off
-   reference.  The cross-section comparison uses the medians: the two
+(* Best and median serial solve times from scalability_speedup, reused
+   by observability_overhead and fault_overhead as their tracing-off
+   reference.  The cross-section comparison uses the medians: the
    sections measure the identical code path minutes apart, so their
    best-of figures differ by scheduler and frequency drift that the
    median resists (the hard 3% overhead contracts are the
-   contemporaneous on-vs-off comparisons inside each section). *)
+   contemporaneous on-vs-off comparisons inside each section).  The
+   metric keeps its historical [solve_1j] name. *)
 let segmented_solve_1j_s = ref nan
 let segmented_solve_1j_med_s = ref nan
 
 let scalability_speedup () =
   section
-    "[Parallel] serial-vs-parallel speedup (4-zone segmented instance)";
+    "[Parallel] serial solve reference and MTTC domain check (4-zone \
+     segmented instance)";
   let net, zone_hosts = segmented_instance () in
-  let job_counts = if full_sweep then [ 1; 2; 4; 8 ] else [ 1; 2; 4 ] in
-  (* One untimed warmup per job count (captures the deterministic
-     result and faults code + instance into cache), then best-of-5
-     timed runs taken round-robin across job counts with a major
-     collection before each: measuring all repetitions of one job
-     count back to back biases later rows, which pay the heap growth
-     and GC debt accumulated by earlier ones. *)
-  let reports =
-    List.map (fun jobs -> (jobs, Optimize.run ~jobs net [])) job_counts
-  in
-  let times : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun jobs -> Hashtbl.replace times jobs (ref [])) job_counts;
-  for _round = 1 to 5 do
-    List.iter
-      (fun jobs ->
+  (* One untimed warmup (captures the deterministic result and faults
+     code + instance into cache), then best-of-5 timed runs with a major
+     collection before each. *)
+  let reference = Optimize.run net [] in
+  let cycles =
+    Array.init 5 (fun _ ->
         Gc.full_major ();
         let t0 = Unix.gettimeofday () in
-        ignore (Optimize.run ~jobs net []);
-        let t = Unix.gettimeofday () -. t0 in
-        let cell = Hashtbl.find times jobs in
-        cell := t :: !cell)
-      job_counts
-  done;
-  let cycles jobs = Array.of_list !(Hashtbl.find times jobs) in
-  let best jobs = Array.fold_left Float.min infinity (cycles jobs) in
-  let results =
-    List.map (fun (jobs, r) -> (jobs, (best jobs, r))) reports
+        ignore (Optimize.run net []);
+        Unix.gettimeofday () -. t0)
   in
-  let _, (t_serial, reference) = List.hd results in
+  let t_serial = Array.fold_left Float.min infinity cycles in
   segmented_solve_1j_s := t_serial;
-  (let s = sorted_copy (cycles 1) in
+  (let s = sorted_copy cycles in
    segmented_solve_1j_med_s := s.(Array.length s / 2));
-  Format.printf "%-6s %10s %9s %14s@." "jobs" "time (s)" "speedup" "energy";
-  List.iter
-    (fun (jobs, (t, report)) ->
-      Format.printf "%-6d %10.3f %8.2fx %14.2f@." jobs t (t_serial /. t)
-        report.Optimize.energy;
-      Report.metric (Printf.sprintf "solve_%dj_s" jobs) t;
-      spread (Printf.sprintf "solve_%dj" jobs) (cycles jobs);
-      Report.metric (Printf.sprintf "speedup_%dj" jobs) (t_serial /. t);
-      if
-        not
-          (report.Optimize.energy = reference.Optimize.energy
-          && Assignment.equal report.Optimize.assignment
-               reference.Optimize.assignment)
-      then
-        Report.fail
-          (Printf.sprintf "solver result at --jobs %d differs from --jobs 1"
-             jobs))
-    results;
+  Format.printf "serial solve %.3fs, energy %.2f@." t_serial
+    reference.Optimize.energy;
+  Report.metric "solve_1j_s" t_serial;
+  spread "solve_1j" cycles;
   Report.metric "solver_energy" reference.Optimize.energy;
   Report.metric "solver_gap"
     (Netdiv_mrf.Solver.optimality_gap reference.Optimize.solver_result);
@@ -1061,109 +1028,6 @@ let scalability_speedup () =
   if s1 <> s4 then
     Report.fail "mttc_parallel statistics depend on the domain count"
 
-(* --------------------- intra-component parallel inference speedup *)
-
-(* Single-component zoned instance: unlike [segmented_instance] the
-   zones are joined by gateway links, so the whole model is ONE
-   connected MRF component — the paper's hard case, where
-   across-component parallelism has nothing to split and the
-   partitioned TRW-S / chromatic BP schedules must carry the load.  At
-   the --full tier the instance holds 10,000 hosts (50,000 MRF nodes);
-   the smoke tier shrinks it to 1,500 hosts while keeping the node
-   count above the partitioning threshold so the parallel code paths
-   still execute. *)
-let intra_instance () =
-  let zones, zone_hosts, n_services, n_products =
-    if full_sweep then (10, 1000, 5, 4) else (5, 300, 3, 4)
-  in
-  let n_hosts = zones * zone_hosts in
-  let z =
-    Netdiv_graph.Topologies.zoned
-      ~rng:(Random.State.make [| 23 |])
-      ~zone_sizes:(Array.make zones zone_hosts)
-      ()
-  in
-  let services =
-    Array.init n_services (fun sv ->
-        { Network.sv_name = Printf.sprintf "svc%d" sv;
-          sv_products =
-            Array.init n_products (fun k -> Printf.sprintf "p%d" k);
-          sv_similarity =
-            Workload.synthetic_similarity
-              ~rng:(Random.State.make [| 7; sv |])
-              ~products:n_products })
-  in
-  let hosts =
-    Array.init n_hosts (fun h ->
-        { Network.h_name = Printf.sprintf "h%d" h;
-          h_services = List.init n_services (fun sv -> (sv, [||])) })
-  in
-  Network.create ~graph:z.Netdiv_graph.Topologies.graph ~services ~hosts
-
-let intra_component_speedup () =
-  section
-    (Printf.sprintf
-       "[Parallel] intra-component speedup (single-component zoned \
-        instance, %s tier)"
-       (if full_sweep then "full" else "smoke"));
-  let net = intra_instance () in
-  let job_counts = [ 1; 2; 4 ] in
-  (* warmups capture the deterministic per-jobs results; the timings are
-     min-of-N taken round-robin across job counts (see best_of) so no
-     row pays the heap debt of earlier ones *)
-  let reports =
-    List.map (fun jobs -> (jobs, Optimize.run ~jobs net [])) job_counts
-  in
-  let times : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun jobs -> Hashtbl.replace times jobs (ref [])) job_counts;
-  for _round = 1 to bench_rounds do
-    List.iter
-      (fun jobs ->
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        ignore (Optimize.run ~jobs net []);
-        let t = Unix.gettimeofday () -. t0 in
-        let cell = Hashtbl.find times jobs in
-        cell := t :: !cell)
-      job_counts
-  done;
-  let cycles jobs = Array.of_list !(Hashtbl.find times jobs) in
-  let best jobs = Array.fold_left Float.min infinity (cycles jobs) in
-  let _, reference = List.hd reports in
-  let t_serial = best 1 in
-  Format.printf "%-6s %10s %9s %14s@." "jobs" "time (s)" "speedup" "energy";
-  List.iter
-    (fun (jobs, report) ->
-      let t = best jobs in
-      Format.printf "%-6d %10.3f %8.2fx %14.2f@." jobs t (t_serial /. t)
-        report.Optimize.energy;
-      Report.metric (Printf.sprintf "solve_%dj_s" jobs) t;
-      spread (Printf.sprintf "solve_%dj" jobs) (cycles jobs);
-      Report.metric (Printf.sprintf "speedup_%dj" jobs) (t_serial /. t);
-      (* the hard gate of the whole exercise: the partitioned schedules
-         must be bitwise job-count-invariant, not merely close *)
-      if
-        not
-          (report.Optimize.energy = reference.Optimize.energy
-          && Assignment.equal report.Optimize.assignment
-               reference.Optimize.assignment)
-      then
-        Report.fail
-          (Printf.sprintf
-             "intra-component result at --jobs %d differs from --jobs 1"
-             jobs))
-    reports;
-  Report.metric "solver_energy" reference.Optimize.energy;
-  (* the >= 2x target is only measurable where 4 cores exist; the
-     determinism checks above run unconditionally *)
-  let cores = Domain.recommended_domain_count () in
-  Report.metric "cores" (float_of_int cores);
-  let s4 = t_serial /. best 4 in
-  if full_sweep && cores >= 4 && s4 < 2.0 then
-    Report.fail
-      (Printf.sprintf
-         "intra-component speedup at 4 jobs is %.2fx (< 2.0x target)" s4)
-
 (* ------------------------------- observability overhead (tracing off) *)
 
 let observability_overhead () =
@@ -1186,10 +1050,10 @@ let observability_overhead () =
          pair_ns);
   let net, _ = segmented_instance () in
   (* untimed warmups capture the deterministic result under each mode *)
-  let ref_off = Optimize.run ~jobs:1 net [] in
+  let ref_off = Optimize.run net [] in
   Obs.set_enabled true;
   Obs.reset ();
-  let ref_on = Optimize.run ~jobs:1 net [] in
+  let ref_on = Optimize.run net [] in
   Obs.set_enabled false;
   (* best-of-5, alternating off/on with a major collection before each
      timed run — same protocol as scalability_speedup, so the two
@@ -1198,13 +1062,13 @@ let observability_overhead () =
   for round = 0 to 4 do
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    ignore (Optimize.run ~jobs:1 net []);
+    ignore (Optimize.run net []);
     offs.(round) <- Unix.gettimeofday () -. t0;
     Obs.set_enabled true;
     Obs.reset ();
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    ignore (Optimize.run ~jobs:1 net []);
+    ignore (Optimize.run net []);
     ons.(round) <- Unix.gettimeofday () -. t0;
     Obs.set_enabled false
   done;
@@ -1226,7 +1090,7 @@ let observability_overhead () =
       && Assignment.equal ref_on.Optimize.assignment
            ref_off.Optimize.assignment)
   then Report.fail "solver result differs with tracing enabled";
-  (* cross-section tripwire: scalability_speedup's jobs=1 solve runs
+  (* cross-section tripwire: scalability_speedup's serial solve runs
      the identical code path (tracing is off in both), so any real gap
      here would mean the disabled instrumentation grew a per-call cost.
      Medians are compared because the sections run minutes apart and
@@ -1244,13 +1108,13 @@ let observability_overhead () =
     in
     let drift_pct = ((med_off /. base) -. 1.0) *. 100.0 in
     Format.printf
-      "tracing-off vs scalability jobs=1 (medians): %+.1f%% (gate: +25%%)@."
+      "tracing-off vs scalability serial (medians): %+.1f%% (gate: +25%%)@."
       drift_pct;
     Report.metric "off_vs_baseline_pct" drift_pct;
     if drift_pct > 25.0 then
       Report.fail
         (Printf.sprintf
-           "tracing-off solve is %.1f%% slower than the jobs=1 baseline (> \
+           "tracing-off solve is %.1f%% slower than the serial baseline (> \
             25%% drift budget)"
            drift_pct)
   end
@@ -1297,20 +1161,20 @@ let recorder_overhead () =
   let net, _ = segmented_instance () in
   (* untimed warmups capture the deterministic result under each mode;
      the bench recorder has no dump_path, so nothing touches the disk *)
-  let ref_off = Optimize.run ~jobs:1 net [] in
+  let ref_off = Optimize.run net [] in
   let r = Recorder.create "bench" in
   let ref_on =
-    Recorder.with_recorder r (fun () -> Optimize.run ~jobs:1 net [])
+    Recorder.with_recorder r (fun () -> Optimize.run net [])
   in
   let offs = Array.make 5 0.0 and ons = Array.make 5 0.0 in
   for round = 0 to 4 do
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    ignore (Optimize.run ~jobs:1 net []);
+    ignore (Optimize.run net []);
     offs.(round) <- Unix.gettimeofday () -. t0;
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    ignore (Recorder.with_recorder r (fun () -> Optimize.run ~jobs:1 net []));
+    ignore (Recorder.with_recorder r (fun () -> Optimize.run net []));
     ons.(round) <- Unix.gettimeofday () -. t0
   done;
   let best_off = Array.fold_left Float.min infinity offs
@@ -1368,15 +1232,18 @@ let fault_overhead () =
          check_ns);
   let net, _ = segmented_instance () in
   (* untimed warmup captures the deterministic fault-free result *)
-  let ref_off = Optimize.run ~jobs:1 net [] in
-  let offs = cycles_of ~rounds:5 (fun () -> Optimize.run ~jobs:1 net []) in
+  let ref_off = Optimize.run net [] in
+  let offs = cycles_of ~rounds:5 (fun () -> Optimize.run net []) in
   let best_off = ref (Array.fold_left Float.min infinity offs) in
   Format.printf "solve, injection compiled in but disabled: %.3fs@." !best_off;
   Report.metric "solve_off_s" !best_off;
   spread "solve_off" offs;
   Report.metric "solver_energy" ref_off.Optimize.energy;
-  (* chaos determinism: crash every parallel chunk; sequential recovery
-     must reproduce the fault-free assignment bit for bit *)
+  (* chaos determinism: crash every parallel chunk of the pooled SA
+     restarts; sequential recovery must reproduce the fault-free
+     assignment bit for bit *)
+  let sa () = Optimize.run ~solver:Optimize.Sa ~jobs:4 net [] in
+  let sa_ref = sa () in
   Fault.set_spec (Some "rate=1.0,only=pool.chunk");
   Fault.reset ();
   let chaos =
@@ -1385,17 +1252,17 @@ let fault_overhead () =
         Fault.set_spec None;
         Fault.reset ())
       (fun () ->
-        let r = Optimize.run ~jobs:4 net [] in
+        let r = sa () in
         Report.metric "chaos_faults_fired" (float_of_int (Fault.fired_count ()));
         r)
   in
   if
     not
-      (chaos.Optimize.energy = ref_off.Optimize.energy
-      && Assignment.equal chaos.Optimize.assignment ref_off.Optimize.assignment)
+      (chaos.Optimize.energy = sa_ref.Optimize.energy
+      && Assignment.equal chaos.Optimize.assignment sa_ref.Optimize.assignment)
   then Report.fail "solver result differs under injected chunk crashes";
   (* cross-section tripwire, same shape as observability_overhead's:
-     the compiled-in fault checks must not show up against the jobs=1
+     the compiled-in fault checks must not show up against the serial
      baseline.  Medians, 25% drift budget — the sections run minutes
      apart; tools/bench_diff gates solve_off_s across commits. *)
   let base = !segmented_solve_1j_med_s in
@@ -1408,13 +1275,13 @@ let fault_overhead () =
     in
     let drift_pct = ((med_off /. base) -. 1.0) *. 100.0 in
     Format.printf
-      "injection-off vs scalability jobs=1 (medians): %+.1f%% (gate: +25%%)@."
+      "injection-off vs scalability serial (medians): %+.1f%% (gate: +25%%)@."
       drift_pct;
     Report.metric "off_vs_baseline_pct" drift_pct;
     if drift_pct > 25.0 then
       Report.fail
         (Printf.sprintf
-           "injection-off solve is %.1f%% slower than the jobs=1 baseline \
+           "injection-off solve is %.1f%% slower than the serial baseline \
             (> 25%% drift budget)"
            drift_pct)
   end
@@ -1754,14 +1621,13 @@ let () =
     Report.timed "extension_segmentation" extension_segmentation;
     Report.timed "extension_anytime" extension_anytime
   end;
-  (* intra_component_speedup runs after the overhead sections: the
-     obs/fault 3%-drift gates compare against scalability's jobs=1 time
-     and assume an undisturbed heap between the paired measurements *)
+  (* the obs/fault 3%-drift gates compare against scalability's serial
+     time and assume an undisturbed heap between the paired
+     measurements *)
   Report.timed "scalability_speedup" scalability_speedup;
   Report.timed "observability_overhead" observability_overhead;
   Report.timed "recorder_overhead" recorder_overhead;
   Report.timed "fault_overhead" fault_overhead;
-  Report.timed "intra_component_speedup" intra_component_speedup;
   Report.timed "interning_memory" interning_memory;
   Report.timed "hierarchical_scale" hierarchical_scale;
   Report.timed "kernel_specialization" kernel_specialization;

@@ -20,7 +20,6 @@ module Products = Netdiv_casestudy.Products
 module Experiments = Netdiv_casestudy.Experiments
 module Runner = Netdiv_mrf.Runner
 module Mrf = Netdiv_mrf.Mrf
-module Trws = Netdiv_mrf.Trws
 module Solver = Netdiv_mrf.Solver
 module Obs = Netdiv_obs.Obs
 module Obs_export = Netdiv_obs.Export
@@ -96,10 +95,12 @@ let jobs_arg =
     & opt (some int) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Parallelize the solver over N domains (0 = auto: \
-           $(b,NETDIV_JOBS) or the recommended domain count).  The \
-           assignment is identical for every N; omitting the option \
-           keeps the serial solver.")
+          "Run the solver's parallel parts over N domains (0 = auto: \
+           $(b,NETDIV_JOBS) or the recommended domain count): the \
+           simulated-annealing restarts of $(b,--solver sa) and the zone \
+           solves of zoned TRW-S ($(b,scalability --hosts)).  Every \
+           other solve runs serially.  The assignment is identical for \
+           every N.")
 
 let jobs_of = function
   | None -> None
@@ -168,9 +169,9 @@ let flight_record_arg =
            exceptions; read it back with $(b,netdiv report).")
 
 (* Installs a flight recorder around [f] when requested.  The anytime
-   runner dumps with its outcome as the reason; paths that bypass the
-   runner (the zoned scalability solve) are covered by the completion
-   dump here, which defers to any more specific dump already written. *)
+   runner dumps with its outcome as the reason; commands that solve
+   nothing are covered by the completion dump here, which defers to any
+   more specific dump already written. *)
 let with_flight_record ~flight f =
   match flight with
   | None -> f ()
@@ -908,18 +909,24 @@ let scalability_cmd =
               let gen_s = Obs.Clock.now () -. t0 in
               let fp = Mrf.footprint model in
               Format.printf "%a@." Mrf.pp_footprint fp;
-              let result = Trws.solve_zoned ~zone_of ?jobs model in
+              let report =
+                Runner.run ?budget
+                  ~stages:[ Runner.trws ~zone_of ?jobs () ]
+                  model
+              in
+              let result = report.Runner.result in
               let gap =
                 (result.Solver.energy -. result.Solver.lower_bound)
                 /. Float.max 1.0 (Float.abs result.Solver.energy)
               in
+              Format.printf "outcome %a@." Runner.pp_outcome
+                report.Runner.outcome;
               Format.printf
-                "energy %a  bound %a  gap %.2e  rounds %d%s@.generate \
-                 %.3fs  solve %.3fs  words/host %.1f@."
+                "energy %a  bound %a  gap %.2e  rounds %d@.generate %.3fs  \
+                 solve %.3fs  words/host %.1f@."
                 Solver.pp_float result.Solver.energy Solver.pp_float
-                result.Solver.lower_bound gap result.Solver.iterations
-                (if result.Solver.converged then "" else "  (not converged)")
-                gen_s result.Solver.runtime_s
+                result.Solver.lower_bound gap result.Solver.iterations gen_s
+                result.Solver.runtime_s
                 (float_of_int fp.Mrf.f_words /. float_of_int n);
               `Ok ()
         end

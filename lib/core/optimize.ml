@@ -3,9 +3,7 @@ module Obs = Netdiv_obs.Obs
 module Runner = Netdiv_mrf.Runner
 module Trws_solver = Netdiv_mrf.Trws
 module Bp_solver = Netdiv_mrf.Bp
-module Icm_solver = Netdiv_mrf.Icm
 module Sa_solver = Netdiv_mrf.Sa
-module Bnb_solver = Netdiv_mrf.Bnb
 
 type solver = Trws | Trws_icm | Bp | Icm | Sa | Exact
 
@@ -88,26 +86,20 @@ let solver_name = function
 
 (* Fallback cascade per solver choice: the primary stage first; stalled
    primaries degrade to perturbed restarts (local searches) or to the
-   approximate pipeline (Exact).  [jobs] parallelizes the stages that
-   have a job-count-invariant parallel form: per-component TRW-S,
-   multi-restart ICM, SA restarts. *)
-let cascade ?jobs solver ~trws_config ~bp_config =
+   approximate pipeline (Exact).  [zone_of] selects zoned TRW-S; [jobs]
+   reaches the stages with a job-count-invariant parallel form: zoned
+   TRW-S and SA restarts. *)
+let cascade ?zone_of ?jobs solver ~trws_config ~bp_config =
   match solver with
-  | Trws -> [ Runner.trws ~config:trws_config ?jobs () ]
-  | Trws_icm -> [ Runner.trws_icm ~config:trws_config ?jobs () ]
-  | Bp -> [ Runner.bp ~config:bp_config ?jobs () ]
-  | Icm -> (
-      match jobs with
-      | None ->
-          [
-            Runner.icm ();
-            Runner.perturbed ~seed:17 (Runner.icm ());
-            Runner.perturbed ~seed:43 (Runner.icm ());
-          ]
-      | Some _ ->
-          (* the parallel restarts subsume the perturbed retries: each
-             restart past the first already perturbs the warm start *)
-          [ Runner.icm_restarts ?jobs () ])
+  | Trws -> [ Runner.trws ~config:trws_config ?zone_of ?jobs () ]
+  | Trws_icm -> [ Runner.trws_icm ~config:trws_config ?zone_of ?jobs () ]
+  | Bp -> [ Runner.bp ~config:bp_config () ]
+  | Icm ->
+      [
+        Runner.icm ();
+        Runner.perturbed ~seed:17 (Runner.icm ());
+        Runner.perturbed ~seed:43 (Runner.icm ());
+      ]
   | Sa ->
       [
         Runner.sa ?jobs ();
@@ -116,7 +108,11 @@ let cascade ?jobs solver ~trws_config ~bp_config =
              ~config:{ Sa_solver.default_config with seed = 0x7e57 }
              ?jobs ());
       ]
-  | Exact -> [ Runner.bnb (); Runner.trws_icm ~config:trws_config ?jobs () ]
+  | Exact ->
+      [
+        Runner.bnb ();
+        Runner.trws_icm ~config:trws_config ?zone_of ?jobs ();
+      ]
 
 let solve_encoded_outcome ?(solver = Trws_icm) ?max_iters ?budget ?patience
     ?jobs ?zone_of ?checkpoint ?resume encoded =
@@ -131,70 +127,17 @@ let solve_encoded_outcome ?(solver = Trws_icm) ?max_iters ?budget ?patience
     | None -> Bp_solver.default_config
     | Some m -> { Bp_solver.default_config with max_iters = m }
   in
-  match (budget, patience, checkpoint, resume) with
-  | None, None, None, None -> (
-      (* direct path: with [jobs] absent these are the legacy serial
-         trajectories, bit-for-bit; with [jobs] present the TRW-S
-         variants decompose into components and SA fans its restarts
-         over the pool — both job-count-invariant *)
-      let trws_solve model =
-        match zone_of with
-        | Some z ->
-            (* hierarchical path: block-coordinate zone decomposition;
-               deterministic in the zone map, invariant in [jobs] *)
-            Trws_solver.solve_zoned ~config:trws_config ~zone_of:z ?jobs
-              model
-        | None -> (
-            match jobs with
-            | None -> Trws_solver.solve ~config:trws_config model
-            | Some _ ->
-                Trws_solver.solve_components ~config:trws_config ?jobs model)
-      in
-      let result =
-        match solver with
-        | Trws -> trws_solve model
-        | Bp -> (
-            match jobs with
-            | None -> Bp_solver.solve ~config:bp_config model
-            | Some _ ->
-                Bp_solver.solve_chromatic ~config:bp_config ?jobs model)
-        | Icm -> Icm_solver.solve model
-        | Sa -> (
-            match jobs with
-            | None -> Sa_solver.solve model
-            | Some j ->
-                Sa_solver.solve
-                  ~config:{ Sa_solver.default_config with domains = j }
-                  model)
-        | Exact -> Bnb_solver.solve model
-        | Trws_icm ->
-            let r = trws_solve model in
-            let p = Icm_solver.solve ~init:r.S.labeling model in
-            if p.S.energy < r.S.energy then
-              {
-                p with
-                S.lower_bound = r.S.lower_bound;
-                runtime_s = r.S.runtime_s +. p.S.runtime_s;
-                iterations = r.S.iterations + p.S.iterations;
-              }
-            else { r with S.runtime_s = r.S.runtime_s +. p.S.runtime_s }
-      in
-      ( result,
-        (if result.S.converged then Runner.Converged else Runner.Stalled),
-        [ (solver_name solver, result.S.runtime_s) ],
-        0 ))
-  | _ ->
-      let init = Option.bind resume (fun path -> load_resume path model) in
-      let on_best = Option.map save_checkpoint checkpoint in
-      let report =
-        Runner.run ?budget ?patience ?init ?on_best
-          ~stages:(cascade ?jobs solver ~trws_config ~bp_config)
-          model
-      in
-      ( report.Runner.result,
-        report.Runner.outcome,
-        report.Runner.stage_timings,
-        report.Runner.retries )
+  let init = Option.bind resume (fun path -> load_resume path model) in
+  let on_best = Option.map save_checkpoint checkpoint in
+  let report =
+    Runner.run ?budget ?patience ?init ?on_best
+      ~stages:(cascade ?zone_of ?jobs solver ~trws_config ~bp_config)
+      model
+  in
+  ( report.Runner.result,
+    report.Runner.outcome,
+    report.Runner.stage_timings,
+    report.Runner.retries )
 
 let solve_encoded ?solver ?max_iters ?budget ?patience ?jobs ?zone_of
     encoded =
@@ -240,7 +183,7 @@ let run ?solver ?prconst ?big_m ?preference ?edge_weight ?max_iters ?budget
 
 let refine ?prconst ?big_m ?preference ?edge_weight ~previous net
     constraints =
-  let (encoded, result), runtime_s =
+  let (encoded, report), runtime_s =
     S.timed (fun () ->
         let encoded =
           Encode.encode ?prconst ?big_m ?preference ?edge_weight net
@@ -262,22 +205,22 @@ let refine ?prconst ?big_m ?preference ?edge_weight ~previous net
               in
               find 0)
         in
-        (encoded, Icm_solver.solve ~init model))
+        (encoded, Runner.run ~init ~stages:[ Runner.icm () ] model))
   in
+  let result = report.Runner.result in
   let assignment = Encode.decode encoded result.S.labeling in
   let violated = Constr.violations net assignment constraints in
   {
     assignment;
     energy = result.S.energy;
-    lower_bound = neg_infinity;
+    lower_bound = result.S.lower_bound;
     solver_result = result;
     constraints_ok = violated = [];
     violated;
     runtime_s;
-    outcome =
-      (if result.S.converged then Runner.Converged else Runner.Stalled);
-    stage_timings = [ ("icm", result.S.runtime_s) ];
-    retries = 0;
+    outcome = report.Runner.outcome;
+    stage_timings = report.Runner.stage_timings;
+    retries = report.Runner.retries;
   }
 
 let pp_report ppf r =

@@ -26,13 +26,12 @@ type report = {
   violated : Constr.t list;
   runtime_s : float;           (** encode + solve wall clock *)
   outcome : Netdiv_mrf.Runner.outcome;
-      (** how the solve ended; [Converged] on the unbudgeted path iff the
-          solver met its own stopping criterion *)
+      (** how the solve ended, as {!Netdiv_mrf.Runner.run} reports it *)
   stage_timings : (string * float) list;
       (** wall-clock seconds per solver stage, in execution order *)
   retries : int;
       (** stage attempts retried after recoverable failures (see
-          {!Netdiv_mrf.Runner.run}); 0 on a clean or direct-path run *)
+          {!Netdiv_mrf.Runner.run}); 0 on a clean run *)
 }
 
 val run :
@@ -54,29 +53,33 @@ val run :
 (** Computes an (approximately) optimal constrained assignment; the
     optional arguments are forwarded to {!Encode.encode}.
 
-    Passing [budget] and/or [patience] routes the solve through the
-    anytime harness ({!Netdiv_mrf.Runner}): the solver runs under the
-    wall-clock/sweep budget, stalls degrade through a fallback cascade
-    (e.g. [Exact] → TRW-S + ICM with the remaining budget, [Sa]/[Icm]
-    retried from perturbed restarts), and the returned assignment is the
-    best found when the budget expires — always feasible with respect to
-    the encoding.  Without either option the solver is invoked directly,
-    with trajectories identical to earlier releases.
+    Every solve runs through the anytime harness
+    ({!Netdiv_mrf.Runner.run}) on the solver's fallback cascade:
+    [Trws]/[Trws_icm]/[Bp] run alone; [Icm] stalls retry from two
+    perturbed warm starts; [Sa] retries once from a perturbed start with
+    a different seed; [Exact] falls back to TRW-S + ICM when
+    branch-and-bound does not close.  The outcome, stage timings, retry
+    count, the [runner.stage] fault point and the flight-recorder dump
+    all come from the harness.  The returned assignment is always
+    feasible with respect to the encoding.
 
-    [jobs] parallelizes the stages that have a job-count-invariant
-    parallel form over the {!Netdiv_par.Pool} domain pool: TRW-S solves
-    connected components on separate domains, [Icm] becomes
-    multi-restart ICM, [Sa] fans its restarts out.  The assignment is
-    identical for every [jobs] value; omitting [jobs] keeps the
-    historical serial trajectories.
+    [budget] bounds the solve by wall clock and/or sweeps; the best
+    assignment found when it expires is returned.  [patience] declares
+    a stage stalled after that many seconds without improvement, and the
+    cascade moves on.  Without either, each stage runs to its own
+    stopping criterion.
 
     [zone_of] (one zone id per MRF variable, e.g. the second component
-    of {!Netdiv_workload.Workload.stream_zoned}) routes the TRW-S stage
-    of the direct path ([Trws]/[Trws_icm] without [budget]/[patience]/
-    [checkpoint]/[resume]) through block-coordinate zone decomposition
-    ({!Netdiv_mrf.Trws.solve_zoned}) — the 100k-host configuration.  The
-    result is a function of the zone map only, never of [jobs]; other
-    solvers and the anytime harness ignore it.
+    of {!Netdiv_workload.Workload.stream_zoned}) runs the TRW-S stage of
+    every solver that has one ([Trws], [Trws_icm], the [Exact] fallback)
+    as block-coordinate zone decomposition
+    ({!Netdiv_mrf.Trws.solve_zoned}) — the 100k-host configuration —
+    with or without a budget.
+
+    [jobs] parallelizes what has a job-count-invariant parallel form
+    over the {!Netdiv_par.Pool} domain pool: the zone solves of zoned
+    TRW-S and the SA restarts.  Every other stage runs serially.  The
+    assignment is identical for every [jobs] value.
 
     [checkpoint] names a file that receives an atomic best-labeling
     snapshot ({!Serial.checkpoint_to_string}) every time the harness's
@@ -84,11 +87,10 @@ val run :
     ([optimize.checkpoint_failures]) but never aborts the solve.
     [resume] reads such a file and warm-starts the cascade from it — an
     unreadable, corrupt or wrong-encoding checkpoint warns and starts
-    fresh.  Either option routes the solve through the anytime harness
-    (like [budget]/[patience]).  Resuming an interrupted run with the
-    same parameters yields the same assignment as the uninterrupted
-    run: stages warm-start from the checkpointed labeling, and the
-    best-so-far merge prefers the newest equal-energy labeling. *)
+    fresh.  Resuming an interrupted run with the same parameters yields
+    the same assignment as the uninterrupted run: stages warm-start from
+    the checkpointed labeling, and the best-so-far merge prefers the
+    newest equal-energy labeling. *)
 
 val refine :
   ?prconst:float ->
@@ -100,10 +102,11 @@ val refine :
   Constr.t list ->
   report
 (** Incremental re-optimization after a small change (a new constraint, a
-    changed candidate list): warm-starts local search from [previous]
-    instead of solving from scratch.  Slots whose previous product is no
-    longer selectable fall back before polishing.  Much faster than
-    {!run} for small perturbations, with no dual bound. *)
+    changed candidate list): runs an ICM stage through the anytime
+    harness, warm-started from [previous] instead of solving from
+    scratch.  Slots whose previous product is no longer selectable fall
+    back before polishing.  Much faster than {!run} for small
+    perturbations, with no dual bound. *)
 
 val solve_encoded :
   ?solver:solver ->

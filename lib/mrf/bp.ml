@@ -1,6 +1,5 @@
 module Obs = Netdiv_obs.Obs
 module Recorder = Netdiv_obs.Recorder
-module Pool = Netdiv_par.Pool
 open Kernel
 
 (* Same registry names as Trws: the counters classify message updates
@@ -19,12 +18,8 @@ type config = {
 let default_config =
   { max_iters = 100; tolerance = 1e-7; damping = 0.3; init_noise = 1e-4 }
 
-(* Message slabs and shared read-only topology; per-worker mutable
-   scratch lives in {!workspace}.  [delta] holds each node's largest
-   absolute message change of the current sweep — a per-node slot
-   instead of a running maximum so parallel schedules can write
-   disjointly and reduce afterwards (max is exact, so the reduction
-   order never shows). *)
+(* Message slabs and read-only topology; per-solve mutable scratch
+   lives in {!workspace}. *)
 type state = {
   labels : int array;
   unary_off : int array;
@@ -41,10 +36,16 @@ type state = {
   fw : floatarray;  (* message into v of each edge *)
   bw : floatarray;  (* message into u of each edge *)
   classes : Kernel.t array;
-  delta : floatarray;  (* per-node max message change, this sweep *)
 }
 
-type workspace = { theta : floatarray; ks : Kernel.scratch }
+(* [delta] is a one-slot slab holding the sweep's largest absolute
+   message change so far: an unboxed store, where a returned or
+   ref-held float would box once per node. *)
+type workspace = {
+  theta : floatarray;
+  ks : Kernel.scratch;
+  delta : floatarray;
+}
 
 let make_state mrf =
   let {
@@ -85,7 +86,6 @@ let make_state mrf =
     fw = Float.Array.make fw_off.(m) 0.0;
     bw = Float.Array.make bw_off.(m) 0.0;
     classes;
-    delta = Float.Array.make (max 1 n) 0.0;
   }
 
 let make_workspace st =
@@ -93,6 +93,7 @@ let make_workspace st =
   {
     theta = Float.Array.make kmax 0.0;
     ks = Kernel.make_scratch ~max_labels:kmax;
+    delta = Float.Array.make 1 0.0;
   }
 
 (* break ties deterministically: symmetric models otherwise sit on the
@@ -125,11 +126,8 @@ let aggregate st i (theta : floatarray) =
     done
   done
 
-(* Update every directed message out of node [i] and record the node's
-   largest absolute change in the [delta] slab.  Writes touch only
-   [i]'s outgoing message slots and [delta.(i)], so two non-adjacent
-   nodes can run concurrently — the invariant the chromatic schedule is
-   built on. *)
+(* Update every directed message out of node [i] and fold its largest
+   absolute change into the sweep's running maximum [ws.delta]. *)
 let update_node st ws damping i =
   let theta = ws.theta in
   aggregate st i theta;
@@ -171,22 +169,16 @@ let update_node st ws damping i =
       out_msg.%(out_off + xj) <- updated
     done
   done;
-  (* slab slot [i] is outside the schedule's loop-index space (color
-     classes iterate class indices), so route through the pool's
-     overlap-checked slab store *)
-  Pool.write_slab st.delta i !dmax
+  if !dmax > ws.delta.%(0) then ws.delta.%(0) <- !dmax
 
 (* One sequential sweep updating every directed message once; returns the
    largest absolute message change. *)
 let sweep st ws n damping =
+  ws.delta.%(0) <- 0.0;
   for i = 0 to n - 1 do
     update_node st ws damping i
   done;
-  let d = ref 0.0 in
-  for i = 0 to n - 1 do
-    if st.delta.%(i) > !d then d := st.delta.%(i)
-  done;
-  !d
+  ws.delta.%(0)
 
 (* Directed messages one BP sweep updates, by kernel class: every node
    sends along each incident edge, so each edge counts twice.  Flushed
@@ -201,27 +193,19 @@ let count_messages st m =
   done;
   (!potts, !sparse, !generic)
 
-(* plain store, not {!Pool.write}: node indices are not the loop-index
-   space when a solve nests inside a sanitized per-component region, and
-   the slot is tied to the loop index structurally anyway *)
-let decode_node st ws x i =
-  let theta = ws.theta in
-  aggregate st i theta;
-  let best = ref 0 in
-  for xi = 1 to st.labels.(i) - 1 do
-    if theta.%(xi) < theta.%(!best) then best := xi
-  done;
-  x.(i) <- !best
-
 let decode st ws n x =
+  let theta = ws.theta in
   for i = 0 to n - 1 do
-    decode_node st ws x i
+    aggregate st i theta;
+    let best = ref 0 in
+    for xi = 1 to st.labels.(i) - 1 do
+      if theta.%(xi) < theta.%(!best) then best := xi
+    done;
+    x.(i) <- !best
   done
 
-(* Shared iteration loop; the sequential and chromatic schedules differ
-   only in how one sweep and one decode pass execute. *)
-let run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once ~decode_all
-    =
+(* The iteration loop: sweeps, decoding, convergence, telemetry. *)
+let run_loop ~config ~interrupt ~on_progress mrf st ws n =
   let obs_on = Obs.enabled () in
   let rec_on = Recorder.installed () in
   let msg_potts, msg_sparse, msg_generic =
@@ -230,7 +214,7 @@ let run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once ~decode_all
   in
   let x = Array.make n 0 in
   let best_x = Array.make n 0 in
-  decode_all best_x;
+  decode st ws n best_x;
   let best_energy = ref (Mrf.energy mrf best_x) in
   let iters = ref 0 in
   let converged = ref false in
@@ -239,8 +223,8 @@ let run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once ~decode_all
        if interrupt () then raise Exit;
        iters := it;
        Obs.begin_span "bp.sweep";
-       let delta = sweep_once () in
-       decode_all x;
+       let delta = sweep st ws n config.damping in
+       decode st ws n x;
        Obs.end_span "bp.sweep";
        if obs_on then begin
          Obs.Counter.add c_msg_potts msg_potts;
@@ -283,88 +267,7 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
     init_messages st config;
     let ws = make_workspace st in
     let n = Mrf.n_nodes mrf in
-    run_loop ~config ~interrupt ~on_progress mrf st n
-      ~sweep_once:(fun () -> sweep st ws n config.damping)
-      ~decode_all:(fun x -> decode st ws n x)
-  in
-  let (labeling, energy, iterations, converged), runtime_s =
-    Solver.timed (fun () -> Obs.span ~name:"bp.solve" run)
-  in
-  {
-    Solver.labeling;
-    energy;
-    lower_bound = neg_infinity;
-    iterations;
-    converged;
-    runtime_s;
-  }
-
-let solve_chromatic ?(config = default_config)
-    ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?jobs mrf =
-  let run () =
-    let st = make_state mrf in
-    init_messages st config;
-    let n = Mrf.n_nodes mrf in
-    (* color classes as a CSR over nodes sorted by (color, id): one
-       parallel region per class and sweep.  Nodes of one class are
-       pairwise non-adjacent, so within a class every node's update
-       reads only messages no class member writes — the sweep result is
-       independent even of chunk boundaries, and therefore of jobs. *)
-    let color, ncolors = Mrf.greedy_coloring mrf in
-    let class_off = Array.make (ncolors + 1) 0 in
-    for i = 0 to n - 1 do
-      class_off.(color.(i) + 1) <- class_off.(color.(i) + 1) + 1
-    done;
-    for c = 0 to ncolors - 1 do
-      class_off.(c + 1) <- class_off.(c + 1) + class_off.(c)
-    done;
-    let class_nodes = Array.make (max 1 n) 0 in
-    let cursor = Array.copy class_off in
-    for i = 0 to n - 1 do
-      class_nodes.(cursor.(color.(i))) <- i;
-      cursor.(color.(i)) <- cursor.(color.(i)) + 1
-    done;
-    let team = Pool.Team.create ?jobs () in
-    Fun.protect
-      ~finally:(fun () -> Pool.Team.stop team)
-      (fun () ->
-        let sz = Pool.Team.size team in
-        let cap = max 1 (4 * sz) in
-        let wss = Array.init cap (fun _ -> make_workspace st) in
-        (* coarse chunks: claiming costs a CAS, so aim for a few chunks
-           per worker and run small classes inline *)
-        let chunks_for csize =
-          if sz = 1 then 1 else min (4 * sz) (max 1 (csize / 32))
-        in
-        let sweep_once () =
-          for c = 0 to ncolors - 1 do
-            let lo = class_off.(c) and hi = class_off.(c + 1) in
-            Pool.Team.run team
-              ~chunks:(chunks_for (hi - lo))
-              ~lo ~hi
-              (fun ch clo chi ->
-                let ws = wss.(ch) in
-                for p = clo to chi - 1 do
-                  update_node st ws config.damping class_nodes.(p)
-                done)
-          done;
-          let d = ref 0.0 in
-          for i = 0 to n - 1 do
-            if st.delta.%(i) > !d then d := st.delta.%(i)
-          done;
-          !d
-        in
-        let decode_all x =
-          Pool.Team.run team ~chunks:(chunks_for n) ~lo:0 ~hi:n
-            (fun ch clo chi ->
-              let ws = wss.(ch) in
-              for i = clo to chi - 1 do
-                decode_node st ws x i
-              done)
-        in
-        run_loop ~config ~interrupt ~on_progress mrf st n ~sweep_once
-          ~decode_all)
+    run_loop ~config ~interrupt ~on_progress mrf st ws n
   in
   let (labeling, energy, iterations, converged), runtime_s =
     Solver.timed (fun () -> Obs.span ~name:"bp.solve" run)

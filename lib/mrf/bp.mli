@@ -27,22 +27,3 @@ val solve :
 (** [interrupt] is polled once per sweep; on [true] the best decoded
     labeling so far is returned.  [on_progress] fires after each sweep
     with [bound = neg_infinity] (BP provides no dual bound). *)
-
-val solve_chromatic :
-  ?config:config ->
-  ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
-  ?jobs:int ->
-  Mrf.t ->
-  Solver.result
-(** Chromatic-schedule BP: the node graph is greedy-colored once
-    ({!Mrf.greedy_coloring}) and every sweep runs one parallel region
-    per color class on a persistent {!Netdiv_par.Pool.Team}.  Nodes of
-    one class are pairwise non-adjacent, so a class member's update
-    reads only messages no other member writes — within a class the
-    result is independent even of chunk boundaries, which makes the
-    whole solve bitwise identical across job counts (it is a different,
-    Jacobi-within-class schedule from {!solve}'s Gauss-Seidel sweep, so
-    the two solvers' trajectories differ; both remain deterministic).
-    Decoding parallelizes the same way.  [jobs] resolves via
-    {!Netdiv_par.Pool.resolve_jobs}. *)

@@ -25,13 +25,6 @@ let kind_name = function
   | Const_sparse _ -> "const-sparse"
   | Generic -> "generic"
 
-let message_cost cls ~k_src ~k_out =
-  match cls with
-  | Potts _ -> (3 * k_src) + k_out
-  | Const_sparse { max_line_nnz; nnz; _ } ->
-      (k_src * (max_line_nnz + 2)) + nnz + k_out
-  | Generic -> k_src * k_out
-
 (* A table qualifies as constant-plus-sparse only when the specialized
    update clearly beats the O(ku*kv) scan in BOTH orientations: the
    selection pass costs k_src*(max_line_nnz+1) and the deviation pass

@@ -72,10 +72,6 @@ val classify : ku:int -> kv:int -> float array -> t
 val kind_name : t -> string
 (** ["potts"], ["const-sparse"] or ["generic"]. *)
 
-val message_cost : t -> k_src:int -> k_out:int -> int
-(** Estimated abstract work units (≈ flops) of one [update] call; used
-    by callers to build {!Netdiv_par.Pool} cost hints. *)
-
 type scratch = {
   h : floatarray;  (** caller-filled reduction input, length ≥ k_src *)
   fresh : floatarray;

@@ -357,32 +357,6 @@ let opposite t ~edge i =
   else if t.ev.(edge) = i then t.eu.(edge)
   else invalid_arg "Mrf.opposite: node not on edge"
 
-(* Greedy first-fit coloring in node order.  Deterministic: colors
-   depend only on the frozen incidence structure, never on job counts,
-   so the chromatic-BP schedule built on top inherits the pool's
-   reproducibility contract.  [mark] is stamped with the current node id
-   instead of being cleared between nodes, keeping the pass O(n + m). *)
-let greedy_coloring t =
-  let n = t.n in
-  let color = Array.make n (-1) in
-  let ncolors = ref 0 in
-  (* first-fit needs at most (max degree + 1) <= n colors *)
-  let mark = Array.make (n + 1) (-1) in
-  for i = 0 to n - 1 do
-    let lo = t.inc_off.(i) and hi = t.inc_off.(i + 1) in
-    for k = lo to hi - 1 do
-      let cj = color.(t.col.(k)) in
-      if cj >= 0 then mark.(cj) <- i
-    done;
-    let c = ref 0 in
-    while mark.(!c) = i do
-      incr c
-    done;
-    color.(i) <- !c;
-    if !c >= !ncolors then ncolors := !c + 1
-  done;
-  (color, max 1 !ncolors)
-
 (* Reparameterization: same structure, different unary slab.  Shares
    every other array with [t]; the caller's array is used directly.
    This is what the zoned solver uses to push per-round Lagrangian

@@ -132,17 +132,6 @@ val opposite : t -> edge:int -> int -> int
 val validate_labeling : t -> int array -> unit
 (** @raise Invalid_argument when the labeling is malformed. *)
 
-val greedy_coloring : t -> int array * int
-(** [greedy_coloring t] returns [(color, ncolors)]: a proper coloring of
-    the model's node graph ([color.(u) <> color.(v)] for every edge
-    [(u, v)]) with colors in [0 .. ncolors - 1], computed by
-    deterministic greedy first-fit in node order — O(n + m), at most
-    (max degree + 1) colors.  Nodes sharing a color are pairwise
-    non-adjacent, so their message updates touch disjoint slab slots;
-    chromatic BP ({!Bp.solve_chromatic}) runs each color class as one
-    parallel region.  The result depends only on the frozen model,
-    never on job counts. *)
-
 val with_unaries : t -> float array -> t
 (** [with_unaries t u] is [t] with its unary slab replaced by [u]
     (length must equal the current slab's).  Every other array is

@@ -65,28 +65,30 @@ type stage = {
 
 let stage_name s = s.name
 
-(* [jobs = None] keeps the historical single-threaded solve; [Some j]
-   routes through the per-component decomposition, whose result is
-   job-count-invariant. *)
-let trws_solve ?config ?jobs ~interrupt ~on_progress mrf =
-  match jobs with
+(* A zone map selects the zone decomposition, the only TRW-S schedule
+   with a parallel form; without one [jobs] has nothing to act on. *)
+let trws_solve ?config ?zone_of ?jobs ~interrupt ~on_progress mrf =
+  match zone_of with
   | None -> Trws.solve ?config ~interrupt ~on_progress mrf
-  | Some _ -> Trws.solve_components ?config ~interrupt ~on_progress ?jobs mrf
+  | Some zone_of ->
+      Trws.solve_zoned ?config ~interrupt ~on_progress ~zone_of ?jobs mrf
 
-let trws ?config ?jobs () =
+let trws ?config ?zone_of ?jobs () =
   {
     name = "trws";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        trws_solve ?config ?jobs ~interrupt ~on_progress mrf);
+        trws_solve ?config ?zone_of ?jobs ~interrupt ~on_progress mrf);
   }
 
-let trws_icm ?config ?icm_config ?jobs () =
+let trws_icm ?config ?icm_config ?zone_of ?jobs () =
   {
     name = "trws+icm";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        let r = trws_solve ?config ?jobs ~interrupt ~on_progress mrf in
+        let r =
+          trws_solve ?config ?zone_of ?jobs ~interrupt ~on_progress mrf
+        in
         let p =
           Icm.solve ?config:icm_config ~interrupt
             ~on_progress:(fun ~iter ~energy ~bound:_ ->
@@ -106,17 +108,12 @@ let trws_icm ?config ?icm_config ?jobs () =
         });
   }
 
-(* As with TRW-S: [jobs = None] keeps the historical sequential sweep;
-   [Some j] selects the chromatic schedule, whose result is job-count
-   invariant (same coloring whatever [j]). *)
-let bp ?config ?jobs () =
+let bp ?config () =
   {
     name = "bp";
     solve =
       (fun ~interrupt ~on_progress ~init:_ mrf ->
-        match jobs with
-        | None -> Bp.solve ?config ~interrupt ~on_progress mrf
-        | Some _ -> Bp.solve_chromatic ?config ~interrupt ~on_progress ?jobs mrf);
+        Bp.solve ?config ~interrupt ~on_progress mrf);
   }
 
 let icm ?config () =

@@ -10,7 +10,8 @@
     best-so-far labeling across stages.
 
     Interrupt granularity: once per sweep for TRW-S, BP, ICM and SA
-    (every restart, including spawned domains), per node expansion for
+    (every restart, including spawned domains), once per round and per
+    zone sweep for zoned TRW-S, per node expansion for
     branch-and-bound, every 1024 labelings for brute force.  All stages
     preserve the anytime property: they return a feasible labeling and
     its energy no matter when they are stopped. *)
@@ -58,22 +59,26 @@ type stage
 
 val stage_name : stage -> string
 
-val trws : ?config:Trws.config -> ?jobs:int -> unit -> stage
-(** With [jobs] the model is decomposed into connected components solved
-    on separate domains ({!Trws.solve_components}); the result is
-    job-count-invariant.  Without it, the historical single-threaded
-    {!Trws.solve}. *)
+val trws :
+  ?config:Trws.config -> ?zone_of:int array -> ?jobs:int -> unit -> stage
+(** {!Trws.solve}; with [zone_of] (one zone id per node) the
+    block-coordinate zone decomposition {!Trws.solve_zoned} instead,
+    which solves the zones on [jobs] domains.  [jobs] acts only on the
+    zoned solve, and its result is job-count-invariant. *)
 
 val trws_icm :
-  ?config:Trws.config -> ?icm_config:Icm.config -> ?jobs:int -> unit -> stage
+  ?config:Trws.config ->
+  ?icm_config:Icm.config ->
+  ?zone_of:int array ->
+  ?jobs:int ->
+  unit ->
+  stage
 (** TRW-S followed by an ICM polish warm-started from its labeling; keeps
     the TRW-S dual bound.  [converged] requires both to converge.
-    [jobs] parallelizes the TRW-S part as in {!trws}. *)
+    [zone_of] and [jobs] select the TRW-S part as in {!trws}. *)
 
-val bp : ?config:Bp.config -> ?jobs:int -> unit -> stage
-(** With [jobs] the sweeps run the chromatic parallel schedule
-    ({!Bp.solve_chromatic}); the result is job-count-invariant.  Without
-    it, the historical sequential {!Bp.solve}. *)
+val bp : ?config:Bp.config -> unit -> stage
+(** The sequential {!Bp.solve}. *)
 
 val icm : ?config:Icm.config -> unit -> stage
 

@@ -24,9 +24,8 @@ let default_config =
    (length labels.(v)) and [bw] the message into u (length labels.(u)),
    stored flat with per-edge offsets.  Messages, unaries and the bound
    aggregation scratch live on unboxed [floatarray] slabs so the kernels
-   stream over contiguous doubles; everything here is immutable topology
-   or slab storage shared by all workers — per-worker mutable scratch
-   lives in {!workspace}. *)
+   stream over contiguous doubles; per-solve mutable scratch lives in
+   {!workspace}. *)
 type state = {
   labels : int array;
   unary_off : int array;
@@ -44,7 +43,6 @@ type state = {
   bw : floatarray;
   classes : Kernel.t array;
   lb_agg : floatarray;  (* lower_bound slab: gamma-weighted unaries *)
-  chain_best : floatarray;  (* lower_bound slab: per-chain DP minimum *)
   gamma : float array;
   chains : int array array;
       (* monotonic chain decomposition: each chain is the sequence of its
@@ -54,10 +52,9 @@ type state = {
   isolated : int list;  (* nodes with no incident edges *)
 }
 
-(* Per-worker scratch: one per parallel chunk so partitioned sweeps never
-   share a theta buffer or kernel scratch across domains.  Allocated per
-   solve, reused across all messages, so the hot path never allocates
-   (minor GCs are stop-the-world across ALL domains). *)
+(* Per-solve scratch, reused across all messages, so the hot path never
+   allocates (minor GCs are stop-the-world across ALL domains, and zone
+   sub-solves run on several). *)
 type workspace = {
   theta : floatarray;
   ks : Kernel.scratch;
@@ -158,9 +155,8 @@ let make_state mrf =
     (* per-iteration bound scratch lives in the state: allocating it in
        [lower_bound] made every iteration churn the minor heap, and
        minor collections are stop-the-world across ALL domains — the
-       per-component solves then serialized on the GC barrier *)
+       parallel zone solves then serialize on the GC barrier *)
     lb_agg = Float.Array.make unary_off.(n) 0.0;
-    chain_best = Float.Array.make (Array.length chains) 0.0;
     gamma;
     chains;
     isolated = !isolated;
@@ -198,14 +194,8 @@ let aggregate st i (theta : floatarray) =
   done
 
 (* Update node [i]'s outgoing messages in direction [forward] (toward
-   higher neighbours when [forward], lower otherwise), restricted to
-   neighbours [j] with [(plo <= j < phi) = inside].  The sequential
-   sweep passes the full range with [inside:true] (no restriction); the
-   partitioned schedule runs the [inside:true] case per partition in
-   parallel — all written messages then lie strictly inside the caller's
-   partition, so distinct chunks never touch the same slab slot — and
-   the [inside:false] case sequentially as the boundary-merge pass. *)
-let process_node st ws ~forward ~inside ~plo ~phi i =
+   higher neighbours when [forward], lower otherwise). *)
+let process_node st ws ~forward i =
   let theta = ws.theta in
   aggregate st i theta;
   let k = st.labels.(i) in
@@ -215,10 +205,7 @@ let process_node st ws ~forward ~inside ~plo ~phi i =
     let e = code / 2 in
     let i_is_u = code land 1 = 1 in
     let j = if i_is_u then st.ev.(e) else st.eu.(e) in
-    if
-      (if forward then j > i else j < i)
-      && (j >= plo && j < phi) = inside
-    then begin
+    if if forward then j > i else j < i then begin
       let kj = st.labels.(j) in
       let p0 = st.pot_off.(st.etab.(e)) in
       (* message into i along e (to be subtracted) and out of i (to
@@ -254,11 +241,11 @@ let process_node st ws ~forward ~inside ~plo ~phi i =
 let sweep st ws n forward =
   if forward then
     for i = 0 to n - 1 do
-      process_node st ws ~forward:true ~inside:true ~plo:0 ~phi:n i
+      process_node st ws ~forward:true i
     done
   else
     for i = n - 1 downto 0 do
-      process_node st ws ~forward:false ~inside:true ~plo:0 ~phi:n i
+      process_node st ws ~forward:false i
     done
 
 (* TRW dual bound for the monotonic-chain decomposition: the energy is
@@ -268,19 +255,10 @@ let sweep st ws n forward =
    chain.  Valid for any message state (each chain min <= the chain's value
    at the true optimum), and tight at TRW-S fixed points on trees.
 
-   Split into three passes so the partitioned schedule can parallelize
-   the first two: [fill_agg] writes node [i]'s gamma-weighted aggregate
-   (slots disjoint per node), [chain_dp] writes chain [ci]'s minimum into
-   the [chain_best] slab (slots disjoint per chain), and [lb_sum] folds
-   the per-chain minima in chain order — so the bound is bitwise
-   identical whatever the chunking. *)
-let fill_agg st ws i =
-  aggregate st i ws.theta;
-  let off = st.unary_off.(i) in
-  for x = 0 to st.labels.(i) - 1 do
-    st.lb_agg.%(off + x) <- st.gamma.(i) *. ws.theta.%(x)
-  done
-
+   [lower_bound] first writes every node's gamma-weighted aggregate into
+   [lb_agg], then runs [chain_dp] per chain, which leaves the chain's
+   last DP row in [ws.dp] and returns its length; the chain minima are
+   summed in chain order. *)
 let chain_dp st ws ci =
   let chain = st.chains.(ci) in
   let agg = st.lb_agg in
@@ -299,7 +277,7 @@ let chain_dp st ws ci =
      a [float ref] minimum (boxed store per assignment) here made every
      bound evaluation allocate ~10^5 minor words, and under multicore
      the resulting minor collections are stop-the-world barriers that
-     serialize otherwise independent per-component solves.  The
+     serialize otherwise independent zone solves.  The
      reparameterized cost, oriented low node -> high node, is
        pot[xu,xv] - fw[xv] - bw[xu]
      with (xu, xv) = (x, y) when u < v and (y, x) otherwise. *)
@@ -340,18 +318,24 @@ let chain_dp st ws ci =
       Float.Array.blit dp' 0 dp 0 kh;
       prev_k := kh)
     chain;
-  let best = ref infinity in
-  for x = 0 to !prev_k - 1 do
-    if dp.%(x) < !best then best := dp.%(x)
-  done;
-  (* routed through the pool so a sanitized region catches two chunks
-     claiming the same chain *)
-  Pool.write_slab st.chain_best ci !best
+  !prev_k
 
-let lb_sum st =
+let lower_bound st ws n =
+  for i = 0 to n - 1 do
+    aggregate st i ws.theta;
+    let off = st.unary_off.(i) in
+    for x = 0 to st.labels.(i) - 1 do
+      st.lb_agg.%(off + x) <- st.gamma.(i) *. ws.theta.%(x)
+    done
+  done;
   let acc = ref 0.0 in
   for ci = 0 to Array.length st.chains - 1 do
-    acc := !acc +. st.chain_best.%(ci)
+    let k = chain_dp st ws ci in
+    let best = ref infinity in
+    for x = 0 to k - 1 do
+      if ws.dp.%(x) < !best then best := ws.dp.%(x)
+    done;
+    acc := !acc +. !best
   done;
   List.iter
     (fun i ->
@@ -363,15 +347,6 @@ let lb_sum st =
       acc := !acc +. !best)
     st.isolated;
   !acc
-
-let lower_bound st ws n =
-  for i = 0 to n - 1 do
-    fill_agg st ws i
-  done;
-  for ci = 0 to Array.length st.chains - 1 do
-    chain_dp st ws ci
-  done;
-  lb_sum st
 
 (* Message updates one full iteration (forward + backward sweep)
    performs, split by kernel class: each edge's two directed messages
@@ -429,21 +404,16 @@ let decode st ws n x =
     x.(i) <- !best
   done
 
-(* Shared iteration loop: sweeps, convergence bookkeeping, telemetry.
-   [sweep_pair] performs one forward+backward iteration; [bound]
-   computes the dual bound for the current messages.  The sequential and
-   partitioned schedules differ only in these two callbacks, so the
-   stopping logic — and therefore the iteration count for identical
-   message trajectories — is shared by construction. *)
-let run_loop ~config ~interrupt ~on_progress mrf st ws n m ~sweep_pair ~bound
-    =
+(* The iteration loop: sweeps, convergence bookkeeping, telemetry. *)
+let run_loop ~config ~interrupt ~on_progress mrf st ws n m =
   (* enablement is sampled once per solve; per-iteration work below is
      a handful of counter adds and begin/end span records, all
      allocation-free, and zero when disabled *)
   let obs_on = Obs.enabled () in
   (* the flight recorder is sampled once per solve too: installation
      never changes inside a solve (only [Recorder.suspended] around
-     whole parallel regions does, and those wrap whole solves) *)
+     the zoned solver's parallel regions does, and those wrap whole
+     zone solves) *)
   let rec_on = Recorder.installed () in
   let msg_potts, msg_sparse, msg_generic =
     if obs_on || rec_on then count_messages st m else (0, 0, 0)
@@ -462,7 +432,8 @@ let run_loop ~config ~interrupt ~on_progress mrf st ws n m ~sweep_pair ~bound
        if interrupt () then raise Exit;
        iters := it;
        Obs.begin_span "trws.sweep";
-       sweep_pair ();
+       sweep st ws n true;
+       sweep st ws n false;
        Obs.end_span "trws.sweep";
        if obs_on then begin
          Obs.Counter.add c_msg_potts msg_potts;
@@ -471,7 +442,7 @@ let run_loop ~config ~interrupt ~on_progress mrf st ws n m ~sweep_pair ~bound
        end;
        if it mod config.bound_every = 0 || it = config.max_iters then begin
          Obs.begin_span "trws.bound";
-         let lb = bound () in
+         let lb = lower_bound st ws n in
          decode st ws n x;
          Obs.end_span "trws.bound";
          let e = Mrf.energy mrf x in
@@ -525,10 +496,6 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
     let ws = make_workspace st in
     let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
     run_loop ~config ~interrupt ~on_progress mrf st ws n m
-      ~sweep_pair:(fun () ->
-        sweep st ws n true;
-        sweep st ws n false)
-      ~bound:(fun () -> lower_bound st ws n)
   in
   let (labeling, energy, lb, iterations, converged), runtime_s =
     Solver.timed (fun () -> Obs.span ~name:"trws.solve" run)
@@ -541,315 +508,6 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
     converged;
     runtime_s;
   }
-
-(* Partition count for the partitioned schedule: a function of the model
-   size ONLY — never of the job count — so results are job-count
-   invariant by construction (partition boundaries play the role the
-   pool's chunk boundaries play elsewhere).  Small components are not
-   worth partitioning: the boundary pass is pure overhead there. *)
-let default_parts n = if n < 4096 then 1 else 16
-
-let solve_partitioned ?(config = default_config)
-    ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?parts ?jobs mrf =
-  let n = Mrf.n_nodes mrf in
-  let parts =
-    match parts with
-    | Some p -> max 1 (min p (max 1 n))
-    | None -> default_parts n
-  in
-  if parts <= 1 then solve ~config ~interrupt ~on_progress mrf
-  else begin
-    let run () =
-      let st = make_state mrf in
-      let m = Mrf.n_edges mrf in
-      let team = Pool.Team.create ?jobs () in
-      Fun.protect
-        ~finally:(fun () -> Pool.Team.stop team)
-        (fun () ->
-          let wss = Array.init parts (fun _ -> make_workspace st) in
-          let ws0 = wss.(0) in
-          (* partition bounds: mirror of the pool's chunk_span (even
-             split, remainder over the first partitions), so the bounds
-             Team.run hands each chunk are exactly these *)
-          let part_off = Array.make (parts + 1) 0 in
-          let q = n / parts and r = n mod parts in
-          for p = 0 to parts - 1 do
-            part_off.(p + 1) <- part_off.(p) + q + (if p < r then 1 else 0)
-          done;
-          let part_of = Array.make n 0 in
-          for p = 0 to parts - 1 do
-            for i = part_off.(p) to part_off.(p + 1) - 1 do
-              part_of.(i) <- p
-            done
-          done;
-          (* nodes with at least one cross-partition edge, ascending:
-             the boundary-merge pass walks exactly these *)
-          let is_cross i =
-            let plo = part_off.(part_of.(i))
-            and phi = part_off.(part_of.(i) + 1) in
-            let c = ref false in
-            for k = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
-              let code = st.inc.(k) in
-              let e = code / 2 in
-              let j = if code land 1 = 1 then st.ev.(e) else st.eu.(e) in
-              if j < plo || j >= phi then c := true
-            done;
-            !c
-          in
-          let ncross = ref 0 in
-          for i = 0 to n - 1 do
-            if is_cross i then incr ncross
-          done;
-          let cross = Array.make (max 1 !ncross) 0 in
-          let cur = ref 0 in
-          for i = 0 to n - 1 do
-            if is_cross i then begin
-              cross.(!cur) <- i;
-              incr cur
-            end
-          done;
-          let ncross = !ncross in
-          (* One half-sweep: all partitions run their intra-partition
-             node updates in parallel (each chunk's writes stay inside
-             its own slab stripe), then the sequential boundary pass
-             recomputes every cross-partition message in global node
-             order.  Both phases depend only on [parts], never on the
-             job count. *)
-          let half forward =
-            Pool.Team.run team ~chunks:parts ~lo:0 ~hi:n (fun c clo chi ->
-                let ws = wss.(c) in
-                if forward then
-                  for i = clo to chi - 1 do
-                    process_node st ws ~forward:true ~inside:true ~plo:clo
-                      ~phi:chi i
-                  done
-                else
-                  for i = chi - 1 downto clo do
-                    process_node st ws ~forward:false ~inside:true ~plo:clo
-                      ~phi:chi i
-                  done);
-            Obs.begin_span "trws.boundary";
-            if forward then
-              for k = 0 to ncross - 1 do
-                let i = cross.(k) in
-                let p = part_of.(i) in
-                process_node st ws0 ~forward:true ~inside:false
-                  ~plo:part_off.(p)
-                  ~phi:part_off.(p + 1)
-                  i
-              done
-            else
-              for k = ncross - 1 downto 0 do
-                let i = cross.(k) in
-                let p = part_of.(i) in
-                process_node st ws0 ~forward:false ~inside:false
-                  ~plo:part_off.(p)
-                  ~phi:part_off.(p + 1)
-                  i
-              done;
-            Obs.end_span "trws.boundary"
-          in
-          let bound () =
-            Pool.Team.run team ~chunks:parts ~lo:0 ~hi:n (fun c clo chi ->
-                let ws = wss.(c) in
-                for i = clo to chi - 1 do
-                  fill_agg st ws i
-                done);
-            let nch = Array.length st.chains in
-            Pool.Team.run team ~chunks:parts ~lo:0 ~hi:nch
-              (fun c clo chi ->
-                let ws = wss.(c) in
-                for ci = clo to chi - 1 do
-                  chain_dp st ws ci
-                done);
-            lb_sum st
-          in
-          run_loop ~config ~interrupt ~on_progress mrf st ws0 n m
-            ~sweep_pair:(fun () ->
-              half true;
-              half false)
-            ~bound)
-    in
-    let (labeling, energy, lb, iterations, converged), runtime_s =
-      Solver.timed (fun () -> Obs.span ~name:"trws.solve" run)
-    in
-    {
-      Solver.labeling;
-      energy;
-      lower_bound = lb;
-      iterations;
-      converged;
-      runtime_s;
-    }
-  end
-
-(* Connected components of the MRF graph (union-find with path
-   compression; the smaller root id wins so component ids follow node
-   order).  Components of a diversification MRF are independent
-   subproblems: no message ever crosses between them, so each can be
-   solved on its own domain and the results merged in component order. *)
-let solve_components ?(config = default_config)
-    ?(interrupt = fun () -> false)
-    ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?jobs mrf =
-  let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
-  let parent = Array.init n Fun.id in
-  let rec find i =
-    if parent.(i) = i then i
-    else begin
-      let r = find parent.(i) in
-      parent.(i) <- r;
-      r
-    end
-  in
-  for e = 0 to m - 1 do
-    let u, v = Mrf.edge_endpoints mrf e in
-    let ru = find u and rv = find v in
-    if ru <> rv then
-      if ru < rv then parent.(rv) <- ru else parent.(ru) <- rv
-  done;
-  (* component ids in order of first appearance by node id *)
-  let comp_of = Array.make (max 1 n) 0 in
-  let n_comps = ref 0 in
-  let id_of_root = Hashtbl.create 16 in
-  for i = 0 to n - 1 do
-    let r = find i in
-    comp_of.(i) <-
-      (match Hashtbl.find_opt id_of_root r with
-      | Some id -> id
-      | None ->
-          let id = !n_comps in
-          incr n_comps;
-          Hashtbl.add id_of_root r id;
-          id)
-  done;
-  if !n_comps <= 1 then begin
-    (* A single large component is exactly where across-component
-       parallelism does nothing: go intra-component when the caller
-       asked for parallel solving at all. *)
-    match jobs with
-    | None -> solve ~config ~interrupt ~on_progress mrf
-    | Some _ ->
-        solve_partitioned ~config ~interrupt ~on_progress ?jobs mrf
-  end
-  else begin
-    let run () =
-      let n_comps = !n_comps in
-      (* local index of every node inside its component *)
-      let sizes = Array.make n_comps 0 in
-      let local = Array.make n 0 in
-      for i = 0 to n - 1 do
-        let c = comp_of.(i) in
-        local.(i) <- sizes.(c);
-        sizes.(c) <- sizes.(c) + 1
-      done;
-      let nodes = Array.init n_comps (fun c -> Array.make sizes.(c) 0) in
-      for i = 0 to n - 1 do
-        nodes.(comp_of.(i)).(local.(i)) <- i
-      done;
-      let builders =
-        Array.map
-          (fun ns ->
-            Mrf.Builder.create
-              ~label_counts:(Array.map (Mrf.label_count mrf) ns))
-          nodes
-      in
-      Array.iteri
-        (fun c ns ->
-          Array.iteri
-            (fun li gi ->
-              let k = Mrf.label_count mrf gi in
-              Mrf.Builder.set_unary builders.(c) ~node:li
-                (Array.init k (fun label -> Mrf.unary mrf ~node:gi ~label)))
-            ns)
-        nodes;
-      (* edges keep their global order within each component, and the
-         interned tables are passed through unchanged (shared, not
-         copied), so sub-model interning is cheap. *)
-      for e = 0 to m - 1 do
-        let u, v = Mrf.edge_endpoints mrf e in
-        Mrf.Builder.add_edge
-          builders.(comp_of.(u))
-          local.(u) local.(v) (Mrf.edge_cost mrf e)
-      done;
-      let subs = Array.map Mrf.Builder.build builders in
-      (* Granularity hint for the pool: estimated kernel work of one
-         component solve, averaged over components.  Each TRW-S
-         iteration updates every directed edge message once, and the
-         per-message cost depends on the table's kernel class — so the
-         total tracks Kernel.message_cost, not a blanket O(L²).  Smoke
-         problems land below the pool's sequential cutoff and run
-         inline instead of paying domain spawns. *)
-      let sweep_cost = ref 0 in
-      for e = 0 to m - 1 do
-        let u, v = Mrf.edge_endpoints mrf e in
-        let ku = Mrf.label_count mrf u and kv = Mrf.label_count mrf v in
-        let cls = Mrf.table_class mrf (Mrf.edge_table_id mrf e) in
-        sweep_cost :=
-          !sweep_cost
-          + Kernel.message_cost cls ~k_src:ku ~k_out:kv
-          + Kernel.message_cost cls ~k_src:kv ~k_out:ku
-      done;
-      let est_iters = min config.max_iters 24 in
-      let cost = max 1 (est_iters * 2 * !sweep_cost / n_comps) in
-      (* Per-component results come back in component order whatever the
-         job count, so the merged labeling, the energy sum and the bound
-         sum are job-count-invariant. *)
-      let results =
-        (* pool workers AND the participating caller domain would record
-           component sweep frames in chunk-claim order — suspend the
-           flight recorder so its contents stay schedule-independent *)
-        Recorder.suspended (fun () ->
-            Netdiv_par.Pool.map_range ?jobs ~cost ~lo:0 ~hi:n_comps (fun c ->
-                solve ~config ~interrupt subs.(c)))
-      in
-      let x = Array.make n 0 in
-      Array.iteri
-        (fun c r ->
-          Array.iteri
-            (fun li lab -> x.(nodes.(c).(li)) <- lab)
-            r.Solver.labeling)
-        results;
-      let energy =
-        Array.fold_left (fun acc r -> acc +. r.Solver.energy) 0.0 results
-      in
-      let bound =
-        Array.fold_left
-          (fun acc r -> acc +. r.Solver.lower_bound)
-          0.0 results
-      in
-      let iterations =
-        Array.fold_left (fun acc r -> max acc r.Solver.iterations) 0 results
-      in
-      let converged = Array.for_all (fun r -> r.Solver.converged) results in
-      if Recorder.installed () then begin
-        (* the per-component results are in component order whatever the
-           job count, so recording them here — not inside the solves the
-           suspension above muted — keeps the black box deterministic *)
-        Array.iteri
-          (fun c (r : Solver.result) ->
-            Recorder.zone ~round:0 ~zone:c ~energy:r.Solver.energy
-              ~bound:r.Solver.lower_bound ~iterations:r.Solver.iterations
-              ~converged:r.Solver.converged)
-          results;
-        Recorder.sweep ~iter:iterations ~energy ~bound ~residual:0.0
-          ~msg_potts:0 ~msg_sparse:0 ~msg_generic:0
-      end;
-      (x, energy, bound, iterations, converged)
-    in
-    let (labeling, energy, bound, iterations, converged), runtime_s =
-      Solver.timed (fun () -> Obs.span ~name:"trws.components" run)
-    in
-    on_progress ~iter:iterations ~energy ~bound;
-    {
-      Solver.labeling;
-      energy;
-      lower_bound = bound;
-      iterations;
-      converged;
-      runtime_s;
-    }
-  end
 
 (* ---- block-coordinate zone decomposition ------------------------------- *)
 
@@ -892,6 +550,12 @@ let greedy_zone_partition mrf ~zones =
     done
   done;
   zone
+
+(* Zone count when the caller gives neither [zones] nor [zone_of]: a
+   function of the model size only, never of the job count.  Small
+   models stay whole; the boundary reconciliation is pure overhead
+   there. *)
+let default_zones n = if n < 4096 then 1 else 16
 
 let default_zone_rounds = 8
 let default_zone_step = 0.25
@@ -941,7 +605,7 @@ let solve_zoned ?(config = default_config) ?(interrupt = fun () -> false)
         let zones =
           match zones with
           | Some z -> max 1 (min z (max 1 n))
-          | None -> default_parts n
+          | None -> default_zones n
         in
         if zones <= 1 then (Array.make (max 1 n) 0, 1)
         else (greedy_zone_partition mrf ~zones, zones)
@@ -1216,6 +880,9 @@ let solve_zoned ?(config = default_config) ?(interrupt = fun () -> false)
                end
              done
            with Exit -> ());
+          (* interrupted before the first round: the all-zero labeling
+             is the anytime answer, so report its energy *)
+          if !iters = 0 then best_energy := Mrf.energy mrf best_x;
           (best_x, !best_energy, !best_bound, !iters, !converged))
     in
     let (labeling, energy, lb, iterations, converged), runtime_s =

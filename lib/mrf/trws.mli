@@ -38,51 +38,6 @@ val solve :
     [on_progress] fires after every bound computation with the running
     best energy and dual bound. *)
 
-val solve_partitioned :
-  ?config:config ->
-  ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
-  ?parts:int ->
-  ?jobs:int ->
-  Mrf.t ->
-  Solver.result
-(** Intra-component parallel TRW-S: the node ordering is split into
-    [parts] contiguous partitions (default: 1 below 4096 nodes, 16
-    above — a function of the model size {e only}).  Each half-sweep
-    runs the partitions' intra-partition message updates in parallel on
-    a persistent {!Netdiv_par.Pool.Team} — a message between two nodes
-    of the same partition is written by exactly one partition, so chunk
-    writes are disjoint by construction — then recomputes every
-    cross-partition message sequentially in global node order (the
-    deterministic boundary-merge pass).  The dual bound parallelizes the
-    same way (per-node aggregation, then per-chain DP) and is summed in
-    chain order, so bound, messages, decode and therefore energy depend
-    only on [parts], never on the job count.  With [parts = 1] this is
-    {e bitwise identical} to {!solve}.  Worker domains are created once
-    per solve and parked between regions, so a 10µs partition phase
-    costs a broadcast, not a domain spawn. *)
-
-val solve_components :
-  ?config:config ->
-  ?interrupt:(unit -> bool) ->
-  ?on_progress:(iter:int -> energy:float -> bound:float -> unit) ->
-  ?jobs:int ->
-  Mrf.t ->
-  Solver.result
-(** Like {!solve}, but decomposes the model into connected components
-    and solves them on separate domains ([jobs] resolved by
-    {!Netdiv_par.Pool.resolve_jobs}).  Since no message crosses between
-    components, the merged result — labeling, energy sum, bound sum,
-    max iteration count, conjunction of convergence flags — is
-    independent of the job count.  With a single component this
-    delegates to {!solve} when [jobs] is omitted, and to
-    {!solve_partitioned} when the caller asked for parallelism — intra-
-    component partitioning is exactly the schedule for the
-    one-big-component case.  [interrupt] must be safe to call
-    from multiple domains (wall-clock reads are; mutable counters are
-    not); [on_progress] fires once, after the merge, when the model has
-    more than one component. *)
-
 val solve_zoned :
   ?config:config ->
   ?interrupt:(unit -> bool) ->
@@ -102,7 +57,8 @@ val solve_zoned :
     densely in order of first appearance) or, when absent, into [zones]
     balanced connected blocks by deterministic BFS growth over the model
     adjacency (the MRF-side mirror of {!Netdiv_graph.Cut.greedy_partition};
-    default zone count as {!solve_partitioned}'s parts).  Each zone slave
+    default: 1 zone below 4096 nodes, 16 above — a function of the model
+    size {e only}).  Each zone slave
     owns its interior edges, unaries and the running boundary penalties;
     every boundary edge (u, v) is a two-variable slave
     [min pot(xu, xv) - lam_u(xu) - lam_v(xv)].  Per round, zone slaves
@@ -117,10 +73,15 @@ val solve_zoned :
     when every boundary edge agrees and all zones converged, or when the
     primal-dual gap falls under [config.tolerance]).
 
-    Determinism contract, as {!solve_partitioned}: the trajectory is a
-    function of the zone map only — zone solves are independent, results
-    land in per-zone slots, and multiplier updates run in global order —
-    so results are invariant across job counts, and with a single zone
-    this delegates to (and is bitwise identical to) {!solve}.  Memory
+    Determinism contract: the trajectory is a function of the zone map
+    only — zone solves are independent, results land in per-zone slots,
+    and multiplier updates run in global order — so results are
+    invariant across job counts, and with a single zone this delegates
+    to (and is bitwise identical to) {!solve}.  This is the only
+    parallel TRW-S schedule; [jobs] resolves via
+    {!Netdiv_par.Pool.resolve_jobs}.  [interrupt] is polled once per
+    round and inside every zone solve, so it must be safe to call from
+    several domains (wall-clock reads are); when it fires before the
+    first round the all-zero labeling and its energy are returned.  Memory
     peaks at one zone submodel plus message slabs per in-flight zone
     rather than the whole-model slabs of {!solve}. *)

@@ -148,9 +148,9 @@ let claim_dispatch ctx i =
             "sanitizer: loop index %d dispatched to chunks %d and %d" i
             (min clash ctx.chunk) (max clash ctx.chunk)))
 
-(* Shared shadow-tracking core of [write] / [write_slab]: record that
-   [ctx.chunk] wrote slot [i] of the output identified by [o] and raise
-   on a clash with another chunk. *)
+(* Shadow-tracking core of [write]: record that [ctx.chunk] wrote slot
+   [i] of the output identified by [o] and raise on a clash with another
+   chunk. *)
 let check_overlap ctx o i =
   let r = ctx.region in
   let clash =
@@ -193,16 +193,6 @@ let write (arr : 'a array) i v =
                  chunk boundary"
                 ctx.chunk ctx.clo ctx.chi i)));
   arr.(i) <- v
-
-let write_slab (slab : floatarray) i v =
-  (* Slab slots are indexed in their own offset space (directed-edge
-     offsets, per-node scratch offsets, ...) which in general is not the
-     loop-index space, so only the overlapping-write check applies — a
-     slot owned by two distinct chunks is a race whatever the spaces. *)
-  (match Domain.DLS.get ctx_key with
-  | None -> ()
-  | Some ctx -> check_overlap ctx (Obj.repr slab) i);
-  Float.Array.set slab i v
 
 let env_jobs () =
   match Sys.getenv_opt "NETDIV_JOBS" with
@@ -542,10 +532,9 @@ let map_reduce ?jobs ?chunks ?cost ~lo ~hi ~map ~reduce ~init =
 (* ------------------------------------------------- persistent team --
 
    The per-call combinators above spawn domains per region, which is
-   fine when a region carries tens of milliseconds of work (per-
-   component solves, SA restarts) but hopeless for the intra-component
-   schedules: a TRW-S half-sweep or one chromatic-BP color phase is
-   10us-1ms of work and there are thousands of them per solve.  A
+   fine when a region carries tens of milliseconds of work (SA
+   restarts, MTTC batches) but wasteful for a solver that runs one
+   region per round, as the zoned TRW-S does.  A
    [Team] amortizes the spawn: worker domains are created once per
    solve and parked on a condition variable; each [run] is one
    broadcast + chunk-claim + join-by-counter round trip (microseconds,
@@ -555,8 +544,8 @@ let map_reduce ?jobs ?chunks ?cost ~lo ~hi ~map ~reduce ~init =
    are a function of [chunks], [lo], [hi] alone ([chunk_span]), chunks
    are claimed dynamically, and the lowest failing chunk's exception
    wins.  Unlike the mapping combinators there is NO fault-injection
-   point here: Team bodies update shared slabs in place (Gauss-Seidel
-   message sweeps), so re-executing a crashed chunk is not idempotent
+   point here: Team bodies may update shared state in place, so
+   re-executing a crashed chunk is not idempotent
    and recovery would be unsound.  Teams are for regions whose results
    are chunk-boundary-deterministic by construction. *)
 
@@ -669,7 +658,7 @@ module Team = struct
           (* same shadow tracking as parallel_for: every loop index is
              claimed by its chunk before the body runs, so overlapping
              or escaping chunk spans raise [Race]; bodies may addition-
-             ally route stores through [write] / [write_slab]. *)
+             ally route stores through [write]. *)
           let region = make_region ~lo ~hi in
           fun c clo chi ->
             let ctx = { chunk = c; clo; chi; region } in

@@ -2,7 +2,7 @@
 
     This is the only module in the code base that is allowed to call
     [Domain.spawn].  Every parallel consumer (simulated annealing restarts,
-    Monte-Carlo MTTC sweeps, per-component TRW-S, the bench harness) goes
+    Monte-Carlo MTTC sweeps, zoned TRW-S, the bench harness) goes
     through the combinators below, which guarantee:
 
     - deterministic results: chunk outputs are combined in chunk-index
@@ -67,14 +67,6 @@ val write : 'a array -> int -> 'a -> unit
     Use it for [parallel_for] bodies that fill a caller-allocated array;
     [map_range]'s own stores are tracked automatically. *)
 
-val write_slab : floatarray -> int -> float -> unit
-(** {!write} for unboxed float slabs.  Slab slots live in their own
-    offset space (directed-edge offsets, per-node scratch offsets), which
-    in general is not the loop-index space, so only the overlapping-write
-    check applies: a slot written by two distinct chunks of the same
-    region raises {!Race}; the chunk-boundary check of {!write} is
-    skipped.  Outside a sanitized region this is [Float.Array.set]. *)
-
 val set_hardware_jobs : int option -> unit
 (** Test-only override of the hardware parallelism clamp.
     [set_hardware_jobs (Some n)] makes the pool and {!Team} behave as if
@@ -111,8 +103,7 @@ val split_seed : int -> int -> int
 
     Every combinator takes an optional [?cost] hint: the estimated work
     of one loop item in abstract units (≈ nanoseconds of straight-line
-    compute; {!Netdiv_mrf.Kernel.message_cost} feeds it for the
-    solvers).  When the hint puts the region's total estimated work
+    compute).  When the hint puts the region's total estimated work
     below a sequential cutoff (≈ 20M units, a few domain-spawn
     round-trips), the region runs inline in the caller — spawning
     domains for sub-millisecond work makes 2–4 jobs {e slower} than
@@ -175,10 +166,10 @@ val map_reduce :
 (** {2 Persistent worker team}
 
     The combinators above spawn domains per region — fine for regions
-    carrying tens of milliseconds of work, hopeless for intra-component
-    solver schedules where one region (a TRW-S partition phase, one
-    chromatic-BP color class) is 10µs–1ms of work repeated thousands of
-    times per solve.  A {!Team.t} amortizes the spawn: its worker
+    carrying tens of milliseconds of work, wasteful for a solver that
+    repeats one parallel region per round ({!Netdiv_mrf.Trws.solve_zoned}
+    solves its zones once per reconciliation round).  A {!Team.t}
+    amortizes the spawn: its worker
     domains are created once (per solve) and parked on a condition
     variable; each {!Team.run} costs one broadcast plus a chunk-claim
     loop plus a counter join.
@@ -188,8 +179,8 @@ val map_reduce :
     dynamically; the lowest failing chunk's exception is re-raised in
     the caller.  Under the sanitizer every loop index is claim-checked
     exactly as in {!parallel_for}, and bodies may route stores through
-    {!write} / {!write_slab}.  There is {e no} fault-injection point
-    inside a team: team bodies update shared slabs in place, so
+    {!write}.  There is {e no} fault-injection point
+    inside a team: team bodies may update shared state in place, so
     re-executing a crashed chunk would not be idempotent — teams are
     reserved for regions whose writes are disjoint by construction. *)
 

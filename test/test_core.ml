@@ -376,6 +376,142 @@ let test_refine_edge_weight () =
   Alcotest.(check bool) "weighted energy larger" true
     (refined.Optimize.energy > base.Optimize.energy)
 
+(* ------------------------------------------------------------- one path *)
+
+module Runner = Netdiv_mrf.Runner
+module Solver = Netdiv_mrf.Solver
+module Mrf = Netdiv_mrf.Mrf
+module Workload = Netdiv_workload.Workload
+module Fault = Netdiv_fault.Fault
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_same_report name (a : Optimize.report) (b : Optimize.report) =
+  Alcotest.(check bool)
+    (name ^ ": assignment") true
+    (Assignment.equal a.Optimize.assignment b.Optimize.assignment);
+  Alcotest.(check bool)
+    (name ^ ": energy bits") true
+    (same_bits a.Optimize.energy b.Optimize.energy);
+  Alcotest.(check bool)
+    (name ^ ": bound bits") true
+    (same_bits a.Optimize.lower_bound b.Optimize.lower_bound);
+  Alcotest.(check string)
+    (name ^ ": outcome")
+    (Format.asprintf "%a" Runner.pp_outcome a.Optimize.outcome)
+    (Format.asprintf "%a" Runner.pp_outcome b.Optimize.outcome)
+
+(* The host network behind a streamed zoned model (variable
+   [host * services + service], every host running every service, one
+   similarity table per service), with the stream's zone map re-keyed
+   by the encoding's variables. *)
+let zoned_network ~services (model, zone_of_var) =
+  let hosts = Mrf.n_nodes model / services in
+  let links = Hashtbl.create 64 in
+  let tables = Array.make services [||] in
+  for e = 0 to Mrf.n_edges model - 1 do
+    let u, v = Mrf.edge_endpoints model e in
+    let hu = u / services and hv = v / services in
+    Hashtbl.replace links (min hu hv, max hu hv) ();
+    if tables.(u mod services) = [||] then
+      tables.(u mod services) <- Array.copy (Mrf.edge_cost model e)
+  done;
+  let products = Mrf.label_count model 0 in
+  let net =
+    Network.create
+      ~graph:(Graph.of_edges ~n:hosts (List.of_seq (Hashtbl.to_seq_keys links)))
+      ~services:
+        (Array.init services (fun s ->
+             {
+               Network.sv_name = Printf.sprintf "s%d" s;
+               sv_products = Array.init products (Printf.sprintf "p%d");
+               sv_similarity = tables.(s);
+             }))
+      ~hosts:
+        (Array.init hosts (fun h ->
+             {
+               Network.h_name = Printf.sprintf "h%d" h;
+               h_services = List.init services (fun s -> (s, [||]));
+             }))
+  in
+  let enc = Encode.encode net [] in
+  let zone_of =
+    Array.init (Encode.n_vars enc) (fun v ->
+        let h, s = Encode.slot_of enc v in
+        zone_of_var.((h * services) + s))
+  in
+  (net, zone_of)
+
+let test_zone_map_under_harness () =
+  let services = 2 in
+  let net, zone_of =
+    zoned_network ~services
+      (Workload.stream_zoned
+         {
+           Workload.default_zoned with
+           z_hosts = 60;
+           z_zones = 3;
+           z_degree = 4;
+           z_gateway_links = 2;
+           z_services = services;
+           z_products = 3;
+         })
+  in
+  let plain = Optimize.run ~zone_of net [] in
+  let budgeted =
+    Optimize.run ~zone_of ~budget:(Runner.Budget.sweeps 1_000_000) net []
+  in
+  check_same_report "zoned, sweep budget" plain budgeted;
+  (* the zones really are in play: no zoned solve ends on the bound of
+     the whole-model TRW-S *)
+  let whole = Optimize.run net [] in
+  Alcotest.(check bool) "zoned bound differs from the whole-model bound"
+    false
+    (same_bits plain.Optimize.lower_bound whole.Optimize.lower_bound)
+
+let test_harness_options_change_nothing () =
+  let net = mk_net ~graph:(Gen.gnm ~rng:(rng 5) ~n:8 ~m:12) () in
+  List.iter
+    (fun solver ->
+      List.iter
+        (fun jobs ->
+          let name =
+            Printf.sprintf "%s, jobs %s"
+              (Optimize.solver_name solver)
+              (match jobs with None -> "none" | Some j -> string_of_int j)
+          in
+          let plain = Optimize.run ~solver ?jobs net [] in
+          if solver = Optimize.Exact then
+            Alcotest.(check bool)
+              (name ^ ": bnb closes") true
+              (Runner.outcome_converged plain.Optimize.outcome);
+          check_same_report name plain
+            (Optimize.run ~solver ?jobs ~patience:1e9 net []))
+        [ None; Some 2 ])
+    [
+      Optimize.Trws; Optimize.Trws_icm; Optimize.Bp; Optimize.Icm;
+      Optimize.Sa; Optimize.Exact;
+    ]
+
+(* [runner.stage] keys on a process-wide attempt counter that advances
+   only while injection is enabled, so this must stay the first test in
+   this binary that enables it. *)
+let test_default_solve_reaches_fault_point () =
+  let net = mk_net ~graph:(Gen.gnm ~rng:(rng 7) ~n:12 ~m:20) () in
+  let clean = Optimize.run net [] in
+  Fault.set_spec (Some "runner.stage@0");
+  Fault.reset ();
+  let faulted =
+    Fun.protect
+      ~finally:(fun () ->
+        Fault.set_spec (Some "");
+        Fault.reset ())
+      (fun () -> Optimize.run net [])
+  in
+  Alcotest.(check int) "one retry" 1 faulted.Optimize.retries;
+  Alcotest.(check bool) "fault-free assignment" true
+    (Assignment.equal clean.Optimize.assignment faulted.Optimize.assignment)
+
 (* ----------------------------------------------------------------- cost *)
 
 (* product 0 of each service is the expensive incumbent; others free *)
@@ -705,6 +841,15 @@ let () =
             test_refine_improves_bad_start;
           Alcotest.test_case "refine with edge weights" `Quick
             test_refine_edge_weight;
+        ] );
+      ( "one path",
+        [
+          Alcotest.test_case "zone map under the harness" `Quick
+            test_zone_map_under_harness;
+          Alcotest.test_case "harness options change nothing" `Quick
+            test_harness_options_change_nothing;
+          Alcotest.test_case "default solve reaches the fault point" `Quick
+            test_default_solve_reaches_fault_point;
         ] );
       ( "cost",
         [

@@ -281,11 +281,14 @@ let disconnected_mrf () =
     [ (0, 1); (1, 2); (2, 3); (4, 5); (5, 6); (6, 7) ];
   Mrf.Builder.build b
 
-let test_solve_components () =
+let test_per_component_zones () =
+  (* one zone per connected component: no boundary edge, so the zoned
+     decomposition is a plain per-component solve *)
   let m = disconnected_mrf () in
   let exact = Brute.solve m in
-  let serial = Trws.solve_components ~jobs:1 m in
-  let par = Trws.solve_components ~jobs:4 m in
+  let zone_of = [| 0; 0; 0; 0; 1; 1; 1; 1; 2 |] in
+  let serial = Trws.solve_zoned ~zone_of ~jobs:1 m in
+  let par = Trws.solve_zoned ~zone_of ~jobs:4 m in
   (* every component is a tree, so the merged solve must be exact *)
   Alcotest.(check (float 1e-6)) "exact on forest" exact.Solver.energy
     serial.Solver.energy;
@@ -531,133 +534,6 @@ let with_hardware_jobs n f =
   Pool.set_hardware_jobs (Some n);
   Fun.protect ~finally:(fun () -> Pool.set_hardware_jobs None) f
 
-let test_greedy_coloring_proper () =
-  List.iter
-    (fun (seed, n, p) ->
-      let m = random_mrf (rng seed) n 3 p in
-      let color, ncolors = Mrf.greedy_coloring m in
-      Alcotest.(check int) "one color per node" n (Array.length color);
-      Alcotest.(check bool) "at least one color" true (ncolors >= 1);
-      Array.iteri
-        (fun i c ->
-          Alcotest.(check bool)
-            (Printf.sprintf "node %d color in range" i)
-            true
-            (c >= 0 && c < ncolors))
-        color;
-      for e = 0 to Mrf.n_edges m - 1 do
-        let u, v = Mrf.edge_endpoints m e in
-        Alcotest.(check bool)
-          (Printf.sprintf "edge %d endpoints differ" e)
-          true
-          (color.(u) <> color.(v))
-      done)
-    [ (31, 12, 0.4); (32, 30, 0.15); (33, 1, 0.0); (34, 25, 0.9) ]
-
-let test_trws_partitioned_matches_solve () =
-  (* one partition must be the sequential solver, bit for bit; and for a
-     fixed partition count the job count must not matter *)
-  for seed = 40 to 44 do
-    let m = random_mrf (rng seed) 30 3 0.15 in
-    let base = Trws.solve m in
-    let p1 = Trws.solve_partitioned ~parts:1 ~jobs:1 m in
-    Alcotest.(check bool)
-      (Printf.sprintf "parts=1 energy bitwise seed=%d" seed)
-      true
-      (base.Solver.energy = p1.Solver.energy);
-    Alcotest.(check bool) "parts=1 bound bitwise" true
-      (base.Solver.lower_bound = p1.Solver.lower_bound);
-    Alcotest.(check (array int)) "parts=1 labeling" base.Solver.labeling
-      p1.Solver.labeling;
-    Alcotest.(check int) "parts=1 iterations" base.Solver.iterations
-      p1.Solver.iterations
-  done
-
-let test_trws_partitioned_jobs_invariant () =
-  with_hardware_jobs 4 (fun () ->
-      for seed = 45 to 49 do
-        let m = random_mrf (rng seed) 40 3 0.12 in
-        let r1 = Trws.solve_partitioned ~parts:4 ~jobs:1 m in
-        List.iter
-          (fun jobs ->
-            let r = Trws.solve_partitioned ~parts:4 ~jobs m in
-            Alcotest.(check bool)
-              (Printf.sprintf "energy bitwise seed=%d jobs=%d" seed jobs)
-              true
-              (r1.Solver.energy = r.Solver.energy);
-            Alcotest.(check bool)
-              (Printf.sprintf "bound bitwise seed=%d jobs=%d" seed jobs)
-              true
-              (r1.Solver.lower_bound = r.Solver.lower_bound);
-            Alcotest.(check (array int))
-              (Printf.sprintf "labeling seed=%d jobs=%d" seed jobs)
-              r1.Solver.labeling r.Solver.labeling;
-            Alcotest.(check int)
-              (Printf.sprintf "iterations seed=%d jobs=%d" seed jobs)
-              r1.Solver.iterations r.Solver.iterations)
-          [ 2; 4 ];
-        (* the boundary merge must keep the anytime contract *)
-        let r4 = Trws.solve_partitioned ~parts:4 ~jobs:4 m in
-        Alcotest.(check (float 1e-9)) "labeling consistent with energy"
-          r4.Solver.energy
-          (Mrf.energy m r4.Solver.labeling);
-        Alcotest.(check bool) "bound below energy" true
-          (r4.Solver.lower_bound <= r4.Solver.energy +. 1e-9)
-      done)
-
-let test_bp_chromatic_jobs_invariant () =
-  with_hardware_jobs 4 (fun () ->
-      for seed = 50 to 54 do
-        let m = random_mrf (rng seed) 40 3 0.12 in
-        let r1 = Bp.solve_chromatic ~jobs:1 m in
-        List.iter
-          (fun jobs ->
-            let r = Bp.solve_chromatic ~jobs m in
-            Alcotest.(check bool)
-              (Printf.sprintf "energy bitwise seed=%d jobs=%d" seed jobs)
-              true
-              (r1.Solver.energy = r.Solver.energy);
-            Alcotest.(check (array int))
-              (Printf.sprintf "labeling seed=%d jobs=%d" seed jobs)
-              r1.Solver.labeling r.Solver.labeling;
-            Alcotest.(check int)
-              (Printf.sprintf "iterations seed=%d jobs=%d" seed jobs)
-              r1.Solver.iterations r.Solver.iterations)
-          [ 2; 4 ];
-        Alcotest.(check (float 1e-9)) "labeling consistent with energy"
-          r1.Solver.energy
-          (Mrf.energy m r1.Solver.labeling)
-      done)
-
-let test_parallel_schedules_on_structured_kernels () =
-  (* the slab-backed parallel schedules must hit the same specialized-
-     equals-generic bitwise property the sequential solvers guarantee,
-     across all three kernel classes (Potts, constant-plus-sparse,
-     generic) *)
-  with_hardware_jobs 4 (fun () ->
-      for seed = 0 to 4 do
-        let ms = random_structured_mrf ~specialize:true seed in
-        let mg = random_structured_mrf ~specialize:false seed in
-        let ts = Trws.solve_partitioned ~parts:3 ~jobs:4 ms in
-        let tg = Trws.solve_partitioned ~parts:3 ~jobs:4 mg in
-        Alcotest.(check bool)
-          (Printf.sprintf "partitioned trws energy bitwise seed=%d" seed)
-          true
-          (ts.Solver.energy = tg.Solver.energy);
-        Alcotest.(check (array int))
-          (Printf.sprintf "partitioned trws labeling seed=%d" seed)
-          tg.Solver.labeling ts.Solver.labeling;
-        let bs = Bp.solve_chromatic ~jobs:4 ms in
-        let bg = Bp.solve_chromatic ~jobs:4 mg in
-        Alcotest.(check bool)
-          (Printf.sprintf "chromatic bp energy bitwise seed=%d" seed)
-          true
-          (bs.Solver.energy = bg.Solver.energy);
-        Alcotest.(check (array int))
-          (Printf.sprintf "chromatic bp labeling seed=%d" seed)
-          bg.Solver.labeling bs.Solver.labeling
-      done)
-
 (* ---------------------------------------------------- zoned decomposition *)
 
 let test_compact_accessors () =
@@ -882,25 +758,12 @@ let () =
           Alcotest.test_case "sa oversubscribed domains" `Quick
             test_sa_oversubscribed;
           Alcotest.test_case "per-component trws" `Quick
-            test_solve_components;
+            test_per_component_zones;
           Alcotest.test_case "bnb certifies small instances" `Quick
             test_bnb_exact;
           Alcotest.test_case "bnb node limit" `Quick test_bnb_node_limit;
           Alcotest.test_case "bnb certifies trees" `Quick test_bnb_tree_fast;
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges;
-        ] );
-      ( "intra-component",
-        [
-          Alcotest.test_case "greedy coloring is proper" `Quick
-            test_greedy_coloring_proper;
-          Alcotest.test_case "partitioned trws, parts=1 = solve" `Quick
-            test_trws_partitioned_matches_solve;
-          Alcotest.test_case "partitioned trws jobs-invariant" `Quick
-            test_trws_partitioned_jobs_invariant;
-          Alcotest.test_case "chromatic bp jobs-invariant" `Quick
-            test_bp_chromatic_jobs_invariant;
-          Alcotest.test_case "parallel schedules on structured kernels"
-            `Quick test_parallel_schedules_on_structured_kernels;
         ] );
       ( "zoned",
         [

@@ -511,10 +511,11 @@ let test_recorder_dump_on_degradation () =
        (fun l -> String.length l >= 6 && String.sub l 0 6 = "retry:")
        labels)
 
-(* two 4-node chains and an isolated node: three components, so
-   [Trws.solve_components] exercises the suspended parallel region and
-   the deterministic per-component zone frames *)
-let components_mrf () =
+(* two 4-node chains joined by one edge, plus an isolated node, split
+   into three zones: [Trws.solve_zoned] exercises the suspended parallel
+   zone region, the boundary reconciliation and the deterministic
+   per-round orchestrator frames *)
+let zoned_mrf () =
   let b = Mrf.Builder.create ~label_counts:(Array.make 9 3) in
   let rng = Random.State.make [| 77 |] in
   for i = 0 to 8 do
@@ -525,17 +526,17 @@ let components_mrf () =
     (fun (u, v) ->
       Mrf.Builder.add_edge b u v
         (Array.init 9 (fun _ -> Random.State.float rng 1.0)))
-    [ (0, 1); (1, 2); (2, 3); (4, 5); (5, 6); (6, 7) ];
-  Mrf.Builder.build b
+    [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6); (6, 7) ];
+  (Mrf.Builder.build b, [| 0; 0; 0; 0; 1; 1; 1; 1; 2 |])
 
 let test_recorder_parallel_sanitized () =
   Pool.set_sanitize (Some true);
   Fun.protect ~finally:(fun () -> Pool.set_sanitize None) @@ fun () ->
-  let m = components_mrf () in
-  let plain = Trws.solve_components ~jobs:2 m in
+  let m, zone_of = zoned_mrf () in
+  let plain = Trws.solve_zoned ~zone_of ~jobs:2 m in
   let r = Recorder.create "par" in
   let recorded =
-    Recorder.with_recorder r (fun () -> Trws.solve_components ~jobs:2 m)
+    Recorder.with_recorder r (fun () -> Trws.solve_zoned ~zone_of ~jobs:2 m)
   in
   (* the recorder must not perturb the solve: bitwise-identical result *)
   Alcotest.(check bool) "energy bitwise with recorder" true
@@ -544,21 +545,24 @@ let test_recorder_parallel_sanitized () =
     (plain.Solver.lower_bound = recorded.Solver.lower_bound);
   Alcotest.(check (array int))
     "labeling with recorder" plain.Solver.labeling recorded.Solver.labeling;
-  (* orchestrator frames: one zone frame per component plus the summary
-     sweep, recorded after the suspended parallel region *)
+  (* orchestrator frames, recorded after each suspended parallel region:
+     per round one zone frame per zone in zone order, one boundary
+     frame and one summary sweep frame *)
+  let rounds = recorded.Solver.iterations in
   let frames = Recorder.frames r in
   let zones =
     List.filter_map
       (function Recorder.Zone z -> Some z.Recorder.z_zone | _ -> None)
       frames
   in
-  Alcotest.(check (list int)) "one frame per component, in order"
-    [ 0; 1; 2 ] zones;
-  Alcotest.(check int) "one summary sweep frame" 1
-    (List.length
-       (List.filter
-          (function Recorder.Sweep _ -> true | _ -> false)
-          frames))
+  Alcotest.(check (list int)) "one frame per zone and round, in order"
+    (List.concat (List.init rounds (fun _ -> [ 0; 1; 2 ])))
+    zones;
+  let count p = List.length (List.filter p frames) in
+  Alcotest.(check int) "one boundary frame per round" rounds
+    (count (function Recorder.Boundary _ -> true | _ -> false));
+  Alcotest.(check int) "one summary sweep frame per round" rounds
+    (count (function Recorder.Sweep _ -> true | _ -> false))
 
 let test_recorder_report_analysis () =
   let r = Recorder.create "an" in

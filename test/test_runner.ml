@@ -74,6 +74,7 @@ let test_zero_budget_stages () =
     [
       Runner.trws (); Runner.trws_icm (); Runner.bp (); Runner.icm ();
       Runner.sa (); Runner.bnb ();
+      Runner.trws ~zone_of:(Array.init 200 (fun i -> i / 50)) ~jobs:2 ();
     ]
 
 let test_zero_budget_brute () =

@@ -71,7 +71,6 @@ let ends_with suffix s =
    (instance construction included) — never a watched timing. *)
 let watched fresh =
   ( [ ("scalability_speedup", "solve_1j_s", true);
-      ("intra_component_speedup", "solve_1j_s", true);
       ("observability_overhead", "solve_off_s", true);
       ("recorder_overhead", "solve_off_s", true);
       ("fault_overhead", "solve_off_s", true);
@@ -97,7 +96,6 @@ let watched fresh =
    and its timings are incomparable. *)
 let fingerprint = function
   | "scalability_speedup" -> Some "solver_energy"
-  | "intra_component_speedup" -> Some "solver_energy"
   | "observability_overhead" -> Some "solver_energy"
   | "recorder_overhead" -> Some "solver_energy"
   | "fault_overhead" -> Some "solver_energy"

@@ -39,8 +39,8 @@ dune runtest
 echo "== pool + mrf + sim tests under NETDIV_SANITIZE=1"
 # dune does not track env vars, so run the test binaries directly: the
 # sanitizer must stay silent on the whole (race-free) pool suite, on
-# the MRF suite, which exercises the partitioned TRW-S and chromatic BP
-# schedules across job counts, and on the sim suite, whose parallel
+# the MRF suite, which runs the zoned TRW-S worker team across job
+# counts, and on the sim suite, whose parallel
 # MTTC batches give every pool chunk its own simulation workspace.
 NETDIV_SANITIZE=1 dune exec test/test_par.exe -- --compact
 NETDIV_SANITIZE=1 dune exec test/test_mrf.exe -- --compact
