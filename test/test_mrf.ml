@@ -534,6 +534,34 @@ let with_hardware_jobs n f =
   Pool.set_hardware_jobs (Some n);
   Fun.protect ~finally:(fun () -> Pool.set_hardware_jobs None) f
 
+let test_zoned_on_structured_kernels () =
+  (* the zoned solve, run on parallel domains, must hit the same
+     specialized-equals-generic bitwise property the sequential solvers
+     guarantee, across all three kernel classes (Potts, constant-plus-
+     sparse, generic) *)
+  with_hardware_jobs 4 (fun () ->
+      for seed = 0 to 4 do
+        let ms = random_structured_mrf ~specialize:true seed in
+        let mg = random_structured_mrf ~specialize:false seed in
+        let zone_of = Array.init (Mrf.n_nodes ms) (fun i -> i / 4) in
+        let zs = Trws.solve_zoned ~zone_of ~jobs:4 ms in
+        let zg = Trws.solve_zoned ~zone_of ~jobs:4 mg in
+        Alcotest.(check bool)
+          (Printf.sprintf "zoned trws energy bitwise seed=%d" seed)
+          true
+          (zs.Solver.energy = zg.Solver.energy);
+        Alcotest.(check bool)
+          (Printf.sprintf "zoned trws bound bitwise seed=%d" seed)
+          true
+          (zs.Solver.lower_bound = zg.Solver.lower_bound);
+        Alcotest.(check (array int))
+          (Printf.sprintf "zoned trws labeling seed=%d" seed)
+          zg.Solver.labeling zs.Solver.labeling;
+        Alcotest.(check int)
+          (Printf.sprintf "zoned trws iterations seed=%d" seed)
+          zg.Solver.iterations zs.Solver.iterations
+      done)
+
 (* ---------------------------------------------------- zoned decomposition *)
 
 let test_compact_accessors () =
@@ -764,6 +792,11 @@ let () =
           Alcotest.test_case "bnb node limit" `Quick test_bnb_node_limit;
           Alcotest.test_case "bnb certifies trees" `Quick test_bnb_tree_fast;
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges;
+        ] );
+      ( "intra-component",
+        [
+          Alcotest.test_case "zoned trws on structured kernels" `Quick
+            test_zoned_on_structured_kernels;
         ] );
       ( "zoned",
         [
