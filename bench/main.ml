@@ -1166,23 +1166,43 @@ let recorder_overhead () =
   let ref_on =
     Recorder.with_recorder r (fun () -> Optimize.run net [])
   in
-  let offs = Array.make 5 0.0 and ons = Array.make 5 0.0 in
-  for round = 0 to 4 do
+  (* The gate reads the median of per-pair on/off ratios over
+     interleaved pairs, each pair's two solves back to back with a major
+     collection before each, and the order inside a pair alternating.
+     A pair shares the host's state of the moment, so its ratio cancels
+     drift that moves both solves; the median drops the pairs a
+     scheduler hiccup hit on one side.  The ratio of two best-of-5
+     minima tripped the 3% budget on its own noise (+4.4% once, -9.3% to
+     +1.7% on reruns of the same code) — and the shorter the solve, the
+     larger that noise. *)
+  let pairs = 11 in
+  let offs = Array.make pairs 0.0 and ons = Array.make pairs 0.0 in
+  let timed_solve installed =
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
-    ignore (Optimize.run net []);
-    offs.(round) <- Unix.gettimeofday () -. t0;
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (Recorder.with_recorder r (fun () -> Optimize.run net []));
-    ons.(round) <- Unix.gettimeofday () -. t0
+    if installed then
+      ignore (Recorder.with_recorder r (fun () -> Optimize.run net []))
+    else ignore (Optimize.run net []);
+    Unix.gettimeofday () -. t0
+  in
+  for p = 0 to pairs - 1 do
+    if p land 1 = 0 then begin
+      offs.(p) <- timed_solve false;
+      ons.(p) <- timed_solve true
+    end
+    else begin
+      ons.(p) <- timed_solve true;
+      offs.(p) <- timed_solve false
+    end
   done;
   let best_off = Array.fold_left Float.min infinity offs
   and best_on = Array.fold_left Float.min infinity ons in
-  let overhead_pct = ((best_on /. best_off) -. 1.0) *. 100.0 in
+  let ratios = sorted_copy (Array.mapi (fun p on -> on /. offs.(p)) ons) in
+  let overhead_pct = (ratios.(pairs / 2) -. 1.0) *. 100.0 in
   Format.printf
-    "solve recorder off: %.3fs, recorder on: %.3fs (+%.1f%%), %d frames@."
-    best_off best_on overhead_pct (Recorder.recorded r);
+    "solve recorder off: %.3fs, recorder on: %.3fs (best of %d); median \
+     pair ratio %+.1f%%, %d frames@."
+    best_off best_on pairs overhead_pct (Recorder.recorded r);
   Report.metric "solve_off_s" best_off;
   spread "solve_off" offs;
   Report.metric "solve_on_s" best_on;
@@ -1196,9 +1216,10 @@ let recorder_overhead () =
       && Assignment.equal ref_on.Optimize.assignment
            ref_off.Optimize.assignment)
   then Report.fail "solver result differs with the flight recorder installed";
-  (* the acceptance gate: a solve with the black box installed stays
-     within 3% of the recorder-free time.  tools/bench_diff additionally
-     gates overhead_on_pct across commits. *)
+  (* the acceptance gate: in the median pair, a solve with the black box
+     installed stays within 3% of the recorder-free time.
+     tools/bench_diff additionally gates overhead_on_pct across
+     commits. *)
   if overhead_pct > 3.0 then
     Report.fail
       (Printf.sprintf

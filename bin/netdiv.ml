@@ -280,12 +280,11 @@ let casestudy_cmd =
          & info [ "assignments" ]
              ~doc:"Also print the three optimal assignments (Fig. 4).")
   in
-  let run runs seed show_assignments time_budget jobs trace metrics =
+  let run runs seed show_assignments time_budget trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     let net = Products.network () in
     let a =
-      Experiments.compute_assignments ~seed
-        ?budget:(budget_of time_budget) ?jobs:(jobs_of jobs) net
+      Experiments.compute_assignments ~seed ?budget:(budget_of time_budget) net
     in
     if show_assignments then begin
       Format.printf "=== optimal assignment (Fig. 4a) ===@.%a@." Assignment.pp
@@ -322,7 +321,7 @@ let casestudy_cmd =
     (Cmd.info "casestudy" ~doc)
     Term.(
       const run $ runs $ seed $ show_assignments $ time_budget_arg
-      $ jobs_arg $ trace_arg $ metrics_arg)
+      $ trace_arg $ metrics_arg)
 
 (* -------------------------------------------------------------- simulate *)
 

@@ -13,20 +13,20 @@ type assignments = {
   mono : Assignment.t;
 }
 
-let optimal_or_fail ?budget ?jobs net constraints =
-  let report = Optimize.run ?budget ?jobs net constraints in
+let optimal_or_fail ?budget net constraints =
+  let report = Optimize.run ?budget net constraints in
   if not report.Optimize.constraints_ok then
     failwith "Experiments: optimizer violated the constraint set";
   report.Optimize.assignment
 
-let compute_assignments ?(seed = 2020) ?budget ?jobs net =
+let compute_assignments ?(seed = 2020) ?budget net =
   let c1 = Products.host_constraints net in
   let c2 = Products.product_constraints net in
   let rng = Random.State.make [| seed |] in
   {
-    optimal = optimal_or_fail ?budget ?jobs net [];
-    host_constrained = optimal_or_fail ?budget ?jobs net c1;
-    product_constrained = optimal_or_fail ?budget ?jobs net c2;
+    optimal = optimal_or_fail ?budget net [];
+    host_constrained = optimal_or_fail ?budget net c1;
+    product_constrained = optimal_or_fail ?budget net c2;
     random = Constr.apply_fixes net c1 (Assignment.random ~rng net);
     mono = Constr.apply_fixes net c1 (Assignment.mono net);
   }

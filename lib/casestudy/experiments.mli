@@ -23,7 +23,6 @@ type assignments = {
 val compute_assignments :
   ?seed:int ->
   ?budget:Netdiv_mrf.Runner.Budget.t ->
-  ?jobs:int ->
   Netdiv_core.Network.t ->
   assignments
 (** Runs the optimizer for the three optimal variants and builds the two
@@ -32,9 +31,8 @@ val compute_assignments :
     [seed].  [budget] (a {e per-run} allowance, applied to each of the
     three optimizer calls) routes the solves through the anytime
     harness; each still fails if the budgeted answer violates its
-    constraint set.  [jobs] parallelizes the solver as in
-    {!Netdiv_core.Optimize.run}; the assignments do not depend on its
-    value. *)
+    constraint set.  Each solve is {!Netdiv_core.Optimize.run} with the
+    default solver and no zone map, a serial path. *)
 
 val labelled : assignments -> (string * Netdiv_core.Assignment.t) list
 (** [("optimal", α̂); ("host-constr", α̂C1); ("product-constr", α̂C2);

@@ -34,4 +34,5 @@ val solve :
     [interrupt] is threaded through the TRW-S/ICM warm start and then
     polled at every node expansion; on [true] the incumbent is returned
     with [converged = false].  [on_progress] fires every 4096 expansions
-    and once at the end, with [iter] = nodes explored. *)
+    and once at the end, with [iter] = nodes explored.  The solve,
+    warm start included, runs inside a [bnb.solve] span. *)

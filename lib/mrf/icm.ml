@@ -1,3 +1,5 @@
+module Obs = Netdiv_obs.Obs
+
 type config = { max_sweeps : int }
 
 let default_config = { max_sweeps = 100 }
@@ -14,25 +16,23 @@ let greedy_unary_init mrf =
       done;
       !best)
 
-(* Cost of node i taking label xi given the rest of the labeling. *)
-let local_cost mrf x i xi =
-  let acc = ref (Mrf.unary mrf ~node:i ~label:xi) in
-  Array.iter
-    (fun (e, i_is_u) ->
-      let j = Mrf.opposite mrf ~edge:e i in
-      let pot = Mrf.edge_cost mrf e in
-      let kj = Mrf.label_count mrf j in
-      let ki = Mrf.label_count mrf i in
-      let c =
-        if i_is_u then pot.((xi * kj) + x.(j)) else pot.((x.(j) * ki) + xi)
-      in
-      acc := !acc +. c)
-    (Mrf.incident mrf i);
-  !acc
-
 let solve ?(config = default_config) ?(interrupt = fun () -> false)
     ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?init mrf =
   let run () =
+    let {
+      Mrf.Compact.i_labels = labels;
+      i_unary_off = unary_off;
+      i_unary = unary;
+      i_etab = etab;
+      i_pot_off = pot_off;
+      i_pot = pot;
+      i_inc_off = inc_off;
+      i_inc = inc;
+      i_col = col;
+      _;
+    } =
+      Mrf.Compact.arrays mrf
+    in
     let n = Mrf.n_nodes mrf in
     let x =
       match init with
@@ -41,6 +41,12 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
           Array.copy x0
       | None -> greedy_unary_init mrf
     in
+    (* Conditional cost of every label of the node being visited, filled
+       in one pass over its incidence row.  Each entry is summed unary
+       first, then the edges in incidence order; that order and the
+       tie-break below are the bitwise contract of DESIGN.md "Primal
+       local-search kernel". *)
+    let cost = Array.make (Mrf.max_label_count mrf) 0.0 in
     let sweeps = ref 0 in
     let converged = ref false in
     (try
@@ -49,19 +55,40 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
          sweeps := s;
          let changed = ref false in
          for i = 0 to n - 1 do
-           let k = Mrf.label_count mrf i in
-           let best = ref x.(i) in
-           let best_cost = ref (local_cost mrf x i x.(i)) in
-           for xi = 0 to k - 1 do
-             if xi <> x.(i) then begin
-               let c = local_cost mrf x i xi in
-               if c < !best_cost then begin
-                 best_cost := c;
-                 best := xi
-               end
+           let k = labels.(i) in
+           Array.blit unary unary_off.(i) cost 0 k;
+           for slot = inc_off.(i) to inc_off.(i + 1) - 1 do
+             let code = inc.(slot) in
+             let j = col.(slot) in
+             let xj = x.(j) in
+             let base = pot_off.(etab.(code lsr 1)) in
+             if code land 1 = 1 then begin
+               (* i is the u side: entry xi * k_j + x_j *)
+               let kj = labels.(j) in
+               for l = 0 to k - 1 do
+                 cost.(l) <- cost.(l) +. pot.(base + (l * kj) + xj)
+               done
+             end
+             else begin
+               (* i is the v side: entry x_j * k_i + xi *)
+               let row = base + (xj * k) in
+               for l = 0 to k - 1 do
+                 cost.(l) <- cost.(l) +. pot.(row + l)
+               done
              end
            done;
-           if !best <> x.(i) then begin
+           (* the current label is the incumbent; a move needs a strictly
+              lower cost, earlier labels winning ties *)
+           let xi = x.(i) in
+           let best = ref xi in
+           let best_cost = ref cost.(xi) in
+           for l = 0 to k - 1 do
+             if l <> xi && cost.(l) < !best_cost then begin
+               best_cost := cost.(l);
+               best := l
+             end
+           done;
+           if !best <> xi then begin
              x.(i) <- !best;
              changed := true
            end
@@ -76,7 +103,9 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
      with Exit -> ());
     (x, !sweeps, !converged)
   in
-  let (labeling, iterations, converged), runtime_s = Solver.timed run in
+  let (labeling, iterations, converged), runtime_s =
+    Solver.timed (fun () -> Obs.span ~name:"icm.solve" run)
+  in
   {
     Solver.labeling;
     energy = Mrf.energy mrf labeling;

@@ -347,16 +347,6 @@ let energy t x =
   done;
   !acc
 
-let incident t i =
-  Array.map
-    (fun code -> (code / 2, code land 1 = 1))
-    (Array.sub t.inc t.inc_off.(i) (t.inc_off.(i + 1) - t.inc_off.(i)))
-
-let opposite t ~edge i =
-  if t.eu.(edge) = i then t.ev.(edge)
-  else if t.ev.(edge) = i then t.eu.(edge)
-  else invalid_arg "Mrf.opposite: node not on edge"
-
 (* Reparameterization: same structure, different unary slab.  Shares
    every other array with [t]; the caller's array is used directly.
    This is what the zoned solver uses to push per-round Lagrangian

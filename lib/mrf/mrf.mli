@@ -121,14 +121,6 @@ val energy : t -> int array -> float
 (** [energy t x] evaluates E(x).
     @raise Invalid_argument if [x] has wrong length or out-of-range labels. *)
 
-val incident : t -> int -> (int * bool) array
-(** [incident t i] lists the edges touching node [i] as [(edge, i_is_u)]
-    pairs, sorted by the id of the opposite endpoint.  Owned by the model;
-    do not mutate. *)
-
-val opposite : t -> edge:int -> int -> int
-(** [opposite t ~edge i] is the other endpoint of [edge]. *)
-
 val validate_labeling : t -> int array -> unit
 (** @raise Invalid_argument when the labeling is malformed. *)
 

@@ -29,40 +29,6 @@ let default_config =
     domains = 1;
   }
 
-(* energy delta of moving node i to label [fresh], given labeling x *)
-let move_delta mrf x i fresh =
-  let current = x.(i) in
-  if fresh = current then 0.0
-  else begin
-    let delta =
-      ref
-        (Mrf.unary mrf ~node:i ~label:fresh
-        -. Mrf.unary mrf ~node:i ~label:current)
-    in
-    Array.iter
-      (fun (e, i_is_u) ->
-        let j = Mrf.opposite mrf ~edge:e i in
-        let pot = Mrf.edge_cost mrf e in
-        let ki = Mrf.label_count mrf i and kj = Mrf.label_count mrf j in
-        let cost xi =
-          if i_is_u then pot.((xi * kj) + x.(j)) else pot.((x.(j) * ki) + xi)
-        in
-        delta := !delta +. cost fresh -. cost current)
-      (Mrf.incident mrf i);
-    !delta
-  end
-
-let greedy_unary_init mrf =
-  Array.init (Mrf.n_nodes mrf) (fun i ->
-      let k = Mrf.label_count mrf i in
-      let best = ref 0 in
-      for l = 1 to k - 1 do
-        if
-          Mrf.unary mrf ~node:i ~label:l < Mrf.unary mrf ~node:i ~label:!best
-        then best := l
-      done;
-      !best)
-
 let solve ?(config = default_config) ?(interrupt = fun () -> false)
     ?(on_progress = fun ~iter:_ ~energy:_ ~bound:_ -> ()) ?init mrf =
   if not (config.cooling > 0.0 && config.cooling < 1.0) then
@@ -71,13 +37,58 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
      restarts run on this domain *)
   let sequential = config.domains <= 1 || config.restarts <= 1 in
   let run () =
+    let {
+      Mrf.Compact.i_labels = labels;
+      i_unary_off = unary_off;
+      i_unary = unary;
+      i_etab = etab;
+      i_pot_off = pot_off;
+      i_pot = pot;
+      i_inc_off = inc_off;
+      i_inc = inc;
+      i_col = col;
+      _;
+    } =
+      Mrf.Compact.arrays mrf
+    in
     let n = Mrf.n_nodes mrf in
     let start =
       match init with
       | Some x0 ->
           Mrf.validate_labeling mrf x0;
           Array.copy x0
-      | None -> greedy_unary_init mrf
+      | None -> Icm.greedy_unary_init mrf
+    in
+    (* Energy delta of moving node i from its label to [fresh], one walk
+       over i's CSR incidence row.  Each edge contributes
+       [(delta +. c_fresh) -. c_cur], in incidence order.  Inlined into
+       the flip loop so the float result is not boxed per proposal. *)
+    let[@inline] move_delta x i fresh =
+      let current = x.(i) in
+      if fresh = current then 0.0
+      else begin
+        let uo = unary_off.(i) in
+        let delta = ref (unary.(uo + fresh) -. unary.(uo + current)) in
+        for slot = inc_off.(i) to inc_off.(i + 1) - 1 do
+          let code = inc.(slot) in
+          let j = col.(slot) in
+          let base = pot_off.(etab.(code lsr 1)) in
+          if code land 1 = 1 then begin
+            (* i is the u side: entry xi * k_j + x_j *)
+            let kj = labels.(j) and xj = x.(j) in
+            delta :=
+              !delta
+              +. pot.(base + (fresh * kj) + xj)
+              -. pot.(base + (current * kj) + xj)
+          end
+          else begin
+            (* i is the v side: entry x_j * k_i + xi *)
+            let row = base + (x.(j) * labels.(i)) in
+            delta := !delta +. pot.(row + fresh) -. pot.(row + current)
+          end
+        done;
+        !delta
+      end
     in
     (* one independent annealing run; deterministic in its restart index *)
     let one_restart restart =
@@ -100,10 +111,10 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
              end;
              incr sweeps;
              for i = 0 to n - 1 do
-               let k = Mrf.label_count mrf i in
+               let k = labels.(i) in
                if k > 1 then begin
                  let fresh = Random.State.int rng k in
-                 let delta = move_delta mrf x i fresh in
+                 let delta = move_delta x i fresh in
                  incr proposals;
                  if
                    delta <= 0.0

@@ -82,12 +82,15 @@ let test_incident () =
   Mrf.Builder.add_edge b 1 0 (Array.make 4 0.0);
   Mrf.Builder.add_edge b 1 2 (Array.make 4 0.0);
   let m = Mrf.Builder.build b in
-  let inc = Mrf.incident m 1 in
-  Alcotest.(check int) "two incidences" 2 (Array.length inc);
+  Alcotest.(check int) "two incidences" 2 (Mrf.Compact.degree m 1);
   (* sorted by opposite endpoint: 0 first, then 2 *)
-  let e0, _ = inc.(0) and e1, _ = inc.(1) in
-  Alcotest.(check int) "opposite of first" 0 (Mrf.opposite m ~edge:e0 1);
-  Alcotest.(check int) "opposite of second" 2 (Mrf.opposite m ~edge:e1 1)
+  let opposite k =
+    let u, v = Mrf.edge_endpoints m (Mrf.Compact.edge m k) in
+    if Mrf.Compact.node_is_u m k then v else u
+  in
+  let k0 = Mrf.Compact.row_start m 1 in
+  Alcotest.(check int) "opposite of first" 0 (opposite k0);
+  Alcotest.(check int) "opposite of second" 2 (opposite (k0 + 1))
 
 let test_shared_matrix () =
   let shared = Array.make 4 0.5 in
@@ -567,17 +570,24 @@ let test_zoned_on_structured_kernels () =
 let test_compact_accessors () =
   let m = random_mrf (rng 60) 15 3 0.3 in
   for i = 0 to Mrf.n_nodes m - 1 do
-    let inc = Mrf.incident m i in
+    (* the incidence row of i, rebuilt from the edge list: (edge, i_is_u)
+       pairs sorted by opposite endpoint, then edge id *)
+    let inc =
+      List.init (Mrf.n_edges m) (fun e ->
+          let u, v = Mrf.edge_endpoints m e in
+          if u = i then [ (v, e, true) ] else if v = i then [ (u, e, false) ]
+          else [])
+      |> List.concat |> List.sort compare |> Array.of_list
+    in
     Alcotest.(check int)
       (Printf.sprintf "degree of %d" i)
       (Array.length inc) (Mrf.Compact.degree m i);
     Array.iteri
-      (fun s (e, is_u) ->
+      (fun s (j, e, is_u) ->
         let k = Mrf.Compact.row_start m i + s in
         Alcotest.(check int) "edge id" e (Mrf.Compact.edge m k);
         Alcotest.(check bool) "orientation" is_u (Mrf.Compact.node_is_u m k);
-        Alcotest.(check int) "neighbor column" (Mrf.opposite m ~edge:e i)
-          (Mrf.Compact.neighbor m k))
+        Alcotest.(check int) "neighbor column" j (Mrf.Compact.neighbor m k))
       inc;
     Alcotest.(check int) "row extent"
       (Mrf.Compact.row_stop m i - Mrf.Compact.row_start m i)
@@ -734,6 +744,191 @@ let prop_decode_valid =
           | exception Invalid_argument _ -> false)
         [ Trws.solve m; Bp.solve m; Icm.solve m ])
 
+(* Differential check of the CSR local-search kernels against the
+   frozen reference solvers in primal_oracle.ml: same labeling, same
+   energy bits, same iteration count and [converged] flag, same progress
+   trace.  The models mix label counts 1-5, both edge orientations,
+   parallel edges, isolated nodes and non-finite table entries.  Costs
+   come from one of three ranges: multiples of 0.5, whose sums are exact,
+   so label ties — where the tie-break rules decide — are common;
+   multiples of 0.1, whose sums round differently in different orders
+   (0.1 +. 0.2 +. 0.3 <> 0.3 +. 0.2 +. 0.1), so a reordered sum turns a
+   tie into a strict inequality or back; and a continuous range. *)
+
+type primal_costs = Halves | Tenths | Continuous
+
+type primal_case = {
+  p_seed : int;
+  p_nodes : int;
+  p_edges : int;
+  p_costs : primal_costs;
+  p_nonfinite : bool;  (** sprinkle nan / +inf / -inf table entries *)
+  p_init : bool;
+  p_sweeps : int;  (** ICM sweep cap *)
+  p_restarts : int;  (** SA restarts *)
+  p_node_limit : int;  (** B&B node limit *)
+  p_stop_at : int;  (** ICM/SA interrupt fires from this poll on; 0 never *)
+  p_cold_bnb : bool;
+      (** interrupt B&B's TRW-S and ICM warm start at their first poll,
+          so the search starts from the unary-greedy labeling and has
+          an incumbent to improve on *)
+}
+
+let primal_model c =
+  let rng = Random.State.make [| 0x9a11; c.p_seed |] in
+  let labels = Array.init c.p_nodes (fun _ -> 1 + Random.State.int rng 5) in
+  let value () =
+    if c.p_nonfinite && Random.State.int rng 25 = 0 then
+      [| nan; infinity; neg_infinity |].(Random.State.int rng 3)
+    else
+      match c.p_costs with
+      | Halves -> 0.5 *. float_of_int (Random.State.int rng 5)
+      | Tenths -> 0.1 *. float_of_int (Random.State.int rng 6)
+      | Continuous -> Random.State.float rng 2.0 -. 0.5
+  in
+  let b = Mrf.Builder.create ~label_counts:labels in
+  for i = 0 to c.p_nodes - 1 do
+    Mrf.Builder.set_unary b ~node:i (Array.init labels.(i) (fun _ -> value ()))
+  done;
+  let last = ref None in
+  if c.p_nodes >= 2 then
+    for _ = 1 to c.p_edges do
+      let u, v =
+        match !last with
+        | Some (u, v) when Random.State.int rng 4 = 0 ->
+            (* a parallel edge, in either orientation *)
+            if Random.State.bool rng then (u, v) else (v, u)
+        | _ ->
+            let u = Random.State.int rng c.p_nodes in
+            let d = 1 + Random.State.int rng (c.p_nodes - 1) in
+            (u, (u + d) mod c.p_nodes)
+      in
+      last := Some (u, v);
+      Mrf.Builder.add_edge b u v
+        (Array.init (labels.(u) * labels.(v)) (fun _ -> value ()))
+    done;
+  let init =
+    if c.p_init then
+      Some (Array.map (fun k -> Random.State.int rng k) labels)
+    else None
+  in
+  (Mrf.Builder.build b, init)
+
+let primal_case_gen =
+  QCheck2.Gen.(
+    let* p_seed = 0 -- 1_000_000 in
+    let* p_nodes = 1 -- 8 in
+    let* p_edges = 0 -- (2 * p_nodes) in
+    let* p_costs = oneofl [ Halves; Tenths; Continuous ] in
+    let* p_nonfinite = frequency [ (3, return false); (1, return true) ] in
+    let* p_init = bool in
+    let* p_sweeps = oneofl [ 1; 2; 100 ] in
+    let* p_restarts = 1 -- 3 in
+    let* p_node_limit = oneofl [ 7; 60; 5_000 ] in
+    let* p_stop_at = frequency [ (3, return 0); (1, 1 -- 4) ] in
+    let* p_cold_bnb = bool in
+    return
+      {
+        p_seed;
+        p_nodes;
+        p_edges;
+        p_costs;
+        p_nonfinite;
+        p_init;
+        p_sweeps;
+        p_restarts;
+        p_node_limit;
+        p_stop_at;
+        p_cold_bnb;
+      })
+
+let print_primal_case c =
+  Printf.sprintf
+    "seed=%d nodes=%d edges=%d costs=%s nonfinite=%b init=%b sweeps=%d \
+     restarts=%d node_limit=%d stop_at=%d cold_bnb=%b"
+    c.p_seed c.p_nodes c.p_edges
+    (match c.p_costs with
+    | Halves -> "halves"
+    | Tenths -> "tenths"
+    | Continuous -> "continuous")
+    c.p_nonfinite c.p_init c.p_sweeps c.p_restarts c.p_node_limit c.p_stop_at
+    c.p_cold_bnb
+
+(* a solve's observable outcome, floats as bit patterns *)
+let primal_outcome f =
+  let trace = ref [] in
+  let on_progress ~iter ~energy ~bound =
+    trace := (iter, Int64.bits_of_float energy, Int64.bits_of_float bound)
+             :: !trace
+  in
+  match f on_progress with
+  | (r : Solver.result) ->
+      Ok
+        ( Array.to_list r.Solver.labeling,
+          Int64.bits_of_float r.Solver.energy,
+          Int64.bits_of_float r.Solver.lower_bound,
+          (r.Solver.iterations, r.Solver.converged),
+          List.rev !trace )
+  | exception Invalid_argument msg -> Error msg
+
+let prop_primal_matches_oracle =
+  QCheck2.Test.make ~count:1000 ~print:print_primal_case
+    ~name:"icm, sa and bnb match the frozen primal oracle" primal_case_gen
+    (fun c ->
+      let m, init = primal_model c in
+      let agree what lib oracle =
+        if primal_outcome lib <> primal_outcome oracle then
+          QCheck2.Test.fail_reportf "%s differs from the oracle" what
+      in
+      (* a fresh interrupt per solve, so the library and the oracle see
+         the same poll sequence *)
+      let stop_at () =
+        let polls = ref 0 in
+        fun () ->
+          incr polls;
+          c.p_stop_at > 0 && !polls >= c.p_stop_at
+      in
+      let icm_config = { Icm.max_sweeps = c.p_sweeps } in
+      agree "icm"
+        (fun on_progress ->
+          Icm.solve ~config:icm_config ~interrupt:(stop_at ()) ~on_progress
+            ?init m)
+        (fun on_progress ->
+          Primal_oracle.Icm.solve ~config:icm_config ~interrupt:(stop_at ())
+            ~on_progress ?init m);
+      let sa_config =
+        {
+          Sa.default_config with
+          cooling = 0.6;
+          min_temp = 0.01;
+          sweeps_per_temp = 2;
+          restarts = c.p_restarts;
+          seed = c.p_seed;
+        }
+      in
+      agree "sa"
+        (fun on_progress ->
+          Sa.solve ~config:sa_config ~interrupt:(stop_at ()) ~on_progress
+            ?init m)
+        (fun on_progress ->
+          Primal_oracle.Sa.solve ~config:sa_config ~interrupt:(stop_at ())
+            ~on_progress ?init m);
+      (* TRW-S and ICM each poll once before their first sweep *)
+      let cold () =
+        let polls = ref 0 in
+        fun () ->
+          incr polls;
+          c.p_cold_bnb && !polls <= 2
+      in
+      let bnb_config = { Bnb.node_limit = c.p_node_limit } in
+      agree "bnb"
+        (fun on_progress ->
+          Bnb.solve ~config:bnb_config ~interrupt:(cold ()) ~on_progress m)
+        (fun on_progress ->
+          Primal_oracle.Bnb.solve ~config:bnb_config ~interrupt:(cold ())
+            ~on_progress m);
+      true)
+
 let () =
   Alcotest.run "mrf"
     [
@@ -816,5 +1011,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_trws_sandwich;
           QCheck_alcotest.to_alcotest prop_decode_valid;
+          QCheck_alcotest.to_alcotest prop_primal_matches_oracle;
         ] );
     ]

@@ -351,6 +351,40 @@ let test_runner_stage_metrics () =
     "runner stage span present" true
     (List.mem "B:runner.stage:trws" (shape (Obs.events ())))
 
+(* The primal solvers each run inside one span, so a traced optimize
+   attributes its ICM polish (and a B&B certificate) by name; tracing
+   must not change a single bit of their results. *)
+let test_primal_solver_spans () =
+  let mrf = tiny_mrf () in
+  let solve () =
+    List.map
+      (fun (r : Solver.result) ->
+        ( r.Solver.labeling,
+          Int64.bits_of_float r.Solver.energy,
+          Int64.bits_of_float r.Solver.lower_bound,
+          r.Solver.iterations,
+          r.Solver.converged ))
+      [ Icm.solve mrf; Sa.solve mrf; Bnb.solve mrf ]
+  in
+  let off = solve () in
+  Alcotest.(check int) "tracing off records nothing" 0
+    (List.length (Obs.events ()));
+  Obs.set_enabled true;
+  let on = solve () in
+  let events = shape (Obs.events ()) in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun kind ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s:%s recorded" kind name)
+            true
+            (List.mem (kind ^ ":" ^ name) events))
+        [ "B"; "E" ])
+    [ "icm.solve"; "sa.solve"; "bnb.solve" ];
+  Alcotest.(check bool)
+    "results bitwise equal with tracing on and off" true (off = on)
+
 (* --------------------------------------------------- flight recorder *)
 
 module Recorder = Netdiv_obs.Recorder
@@ -644,6 +678,8 @@ let () =
         [
           Alcotest.test_case "stage timings via registry" `Quick
             (scoped test_runner_stage_metrics);
+          Alcotest.test_case "primal solver spans, results unchanged" `Quick
+            (scoped test_primal_solver_spans);
         ] );
       ( "recorder",
         [
