@@ -1028,6 +1028,38 @@ let scalability_speedup () =
   if s1 <> s4 then
     Report.fail "mttc_parallel statistics depend on the domain count"
 
+(* On/off overhead of a solve mode as the median of per-pair on/off
+   ratios over [pairs] interleaved pairs: each pair's two solves run
+   back to back, [prepare] switching the mode before a major collection
+   and the timed [solve], and the order inside a pair alternates.  A
+   pair shares the host's state of the moment, so its ratio cancels
+   drift that moves both solves; the median drops the pairs a scheduler
+   hiccup hit on one side.  The ratio of two best-of-5 minima tripped a
+   3% budget on its own noise (+4.4% once, -9.3% to +1.7% on reruns of
+   the same code) — and the shorter the solve, the larger that noise.
+   Returns the off times, the on times and the overhead in percent. *)
+let paired_overhead ~pairs ~prepare ~solve =
+  let offs = Array.make pairs 0.0 and ons = Array.make pairs 0.0 in
+  let timed on =
+    prepare on;
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    solve on;
+    Unix.gettimeofday () -. t0
+  in
+  for p = 0 to pairs - 1 do
+    if p land 1 = 0 then begin
+      offs.(p) <- timed false;
+      ons.(p) <- timed true
+    end
+    else begin
+      ons.(p) <- timed true;
+      offs.(p) <- timed false
+    end
+  done;
+  let ratios = sorted_copy (Array.mapi (fun p on -> on /. offs.(p)) ons) in
+  (offs, ons, (ratios.(pairs / 2) -. 1.0) *. 100.0)
+
 (* ------------------------------- observability overhead (tracing off) *)
 
 let observability_overhead () =
@@ -1055,34 +1087,27 @@ let observability_overhead () =
   Obs.reset ();
   let ref_on = Optimize.run net [] in
   Obs.set_enabled false;
-  (* best-of-5, alternating off/on with a major collection before each
-     timed run — same protocol as scalability_speedup, so the two
-     sections' times stay comparable *)
-  let offs = Array.make 5 0.0 and ons = Array.make 5 0.0 in
-  for round = 0 to 4 do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (Optimize.run net []);
-    offs.(round) <- Unix.gettimeofday () -. t0;
-    Obs.set_enabled true;
-    Obs.reset ();
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (Optimize.run net []);
-    ons.(round) <- Unix.gettimeofday () -. t0;
-    Obs.set_enabled false
-  done;
+  let pairs = 11 in
+  let offs, ons, overhead_pct =
+    paired_overhead ~pairs
+      ~prepare:(fun on ->
+        Obs.set_enabled on;
+        Obs.reset ())
+      ~solve:(fun _ -> ignore (Optimize.run net []))
+  in
+  Obs.set_enabled false;
   Obs.reset ();
-  let best_off = ref (Array.fold_left Float.min infinity offs)
-  and best_on = ref (Array.fold_left Float.min infinity ons) in
-  Format.printf "solve tracing off: %.3fs, tracing on: %.3fs (+%.1f%%)@."
-    !best_off !best_on
-    (((!best_on /. !best_off) -. 1.0) *. 100.0);
-  Report.metric "solve_off_s" !best_off;
+  let best_off = Array.fold_left Float.min infinity offs
+  and best_on = Array.fold_left Float.min infinity ons in
+  Format.printf
+    "solve tracing off: %.3fs, tracing on: %.3fs (best of %d); median pair \
+     ratio %+.1f%%@."
+    best_off best_on pairs overhead_pct;
+  Report.metric "solve_off_s" best_off;
   spread "solve_off" offs;
-  Report.metric "solve_on_s" !best_on;
+  Report.metric "solve_on_s" best_on;
   spread "solve_on" ons;
-  Report.metric "overhead_on_pct" (((!best_on /. !best_off) -. 1.0) *. 100.0);
+  Report.metric "overhead_on_pct" overhead_pct;
   Report.metric "solver_energy" ref_off.Optimize.energy;
   if
     not
@@ -1090,6 +1115,14 @@ let observability_overhead () =
       && Assignment.equal ref_on.Optimize.assignment
            ref_off.Optimize.assignment)
   then Report.fail "solver result differs with tracing enabled";
+  (* the acceptance gate: in the median pair, a traced solve stays
+     within 3% of the untraced time.  tools/bench_diff checks the same
+     bound on the written report. *)
+  if overhead_pct > 3.0 then
+    Report.fail
+      (Printf.sprintf
+         "tracing-on solve is %.1f%% slower than tracing-off (> 3%% budget)"
+         overhead_pct);
   (* cross-section tripwire: scalability_speedup's serial solve runs
      the identical code path (tracing is off in both), so any real gap
      here would mean the disabled instrumentation grew a per-call cost.
@@ -1166,39 +1199,15 @@ let recorder_overhead () =
   let ref_on =
     Recorder.with_recorder r (fun () -> Optimize.run net [])
   in
-  (* The gate reads the median of per-pair on/off ratios over
-     interleaved pairs, each pair's two solves back to back with a major
-     collection before each, and the order inside a pair alternating.
-     A pair shares the host's state of the moment, so its ratio cancels
-     drift that moves both solves; the median drops the pairs a
-     scheduler hiccup hit on one side.  The ratio of two best-of-5
-     minima tripped the 3% budget on its own noise (+4.4% once, -9.3% to
-     +1.7% on reruns of the same code) — and the shorter the solve, the
-     larger that noise. *)
   let pairs = 11 in
-  let offs = Array.make pairs 0.0 and ons = Array.make pairs 0.0 in
-  let timed_solve installed =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    if installed then
-      ignore (Recorder.with_recorder r (fun () -> Optimize.run net []))
-    else ignore (Optimize.run net []);
-    Unix.gettimeofday () -. t0
+  let offs, ons, overhead_pct =
+    paired_overhead ~pairs ~prepare:ignore ~solve:(fun installed ->
+        if installed then
+          ignore (Recorder.with_recorder r (fun () -> Optimize.run net []))
+        else ignore (Optimize.run net []))
   in
-  for p = 0 to pairs - 1 do
-    if p land 1 = 0 then begin
-      offs.(p) <- timed_solve false;
-      ons.(p) <- timed_solve true
-    end
-    else begin
-      ons.(p) <- timed_solve true;
-      offs.(p) <- timed_solve false
-    end
-  done;
   let best_off = Array.fold_left Float.min infinity offs
   and best_on = Array.fold_left Float.min infinity ons in
-  let ratios = sorted_copy (Array.mapi (fun p on -> on /. offs.(p)) ons) in
-  let overhead_pct = (ratios.(pairs / 2) -. 1.0) *. 100.0 in
   Format.printf
     "solve recorder off: %.3fs, recorder on: %.3fs (best of %d); median \
      pair ratio %+.1f%%, %d frames@."
@@ -1218,8 +1227,7 @@ let recorder_overhead () =
   then Report.fail "solver result differs with the flight recorder installed";
   (* the acceptance gate: in the median pair, a solve with the black box
      installed stays within 3% of the recorder-free time.
-     tools/bench_diff additionally gates overhead_on_pct across
-     commits. *)
+     tools/bench_diff checks the same bound on the written report. *)
   if overhead_pct > 3.0 then
     Report.fail
       (Printf.sprintf

@@ -1,4 +1,5 @@
 module Obs = Netdiv_obs.Obs
+module Recorder = Netdiv_obs.Recorder
 
 type config = { max_sweeps : int }
 
@@ -47,6 +48,11 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
        tie-break below are the bitwise contract of DESIGN.md "Primal
        local-search kernel". *)
     let cost = Array.make (Mrf.max_label_count mrf) 0.0 in
+    (* one flight-recorder frame per sweep, as SA records one per
+       cooling stage; its residual is the sweep's energy gain, so the
+       energy before the first sweep is needed only when recording *)
+    let rec_on = Recorder.installed () in
+    let prev_energy = ref (if rec_on then Mrf.energy mrf x else nan) in
     let sweeps = ref 0 in
     let converged = ref false in
     (try
@@ -93,8 +99,14 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
              changed := true
            end
          done;
-         on_progress ~iter:s ~energy:(Mrf.energy mrf x)
-           ~bound:neg_infinity;
+         let energy = Mrf.energy mrf x in
+         if rec_on then begin
+           Recorder.sweep ~iter:s ~energy ~bound:neg_infinity
+             ~residual:(!prev_energy -. energy) ~msg_potts:0 ~msg_sparse:0
+             ~msg_generic:0;
+           prev_energy := energy
+         end;
+         on_progress ~iter:s ~energy ~bound:neg_infinity;
          if not !changed then begin
            converged := true;
            raise Exit

@@ -488,10 +488,11 @@ let estimate_words ~nodes ~edges ~max_labels ~tables =
     + (4 * m) (* inc + col *)
   in
   let solve =
-    (2 * m * l) (* fw/bw message slabs *)
-    + (2 * (m + 1)) (* per-direction offsets *)
+    (2 * m * l) (* interleaved message slab *)
+    + (2 * m) (* packed word per incidence slot *)
+    + (4 * m) (* packed chains: two words per edge and per chain *)
     + (2 * n * l) (* reparameterized unary + bound aggregation slabs *)
-    + (4 * n) (* chain bookkeeping, labeling, coloring scratch *)
+    + (2 * n) (* gamma, labeling *)
   in
   model + solve
 

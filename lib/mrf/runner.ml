@@ -171,8 +171,13 @@ let icm_restarts ?config ?(restarts = 4) ?(seed = 0x1c3)
             let cost =
               12 * (Mrf.pot_words_unshared mrf + Mrf.n_nodes mrf)
             in
+            (* restarts run inline or on pool workers depending on the
+               job count: suspend the flight recorder so the recording
+               does not depend on it *)
             let results =
-              Netdiv_par.Pool.map_range ?jobs ~cost ~lo:0 ~hi:restarts one
+              Recorder.suspended (fun () ->
+                  Netdiv_par.Pool.map_range ?jobs ~cost ~lo:0 ~hi:restarts
+                    one)
             in
             let best = ref results.(0) in
             Array.iter

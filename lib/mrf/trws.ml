@@ -1,3 +1,9 @@
+(* Sequential TRW-S over Kolmogorov's monotonic-chain decomposition,
+   and the zoned Lagrangian decomposition built on it.  trws.mli states
+   the contract; DESIGN.md "TRW-S memory layout" explains the message
+   state below and why its passes give the same bits as the plain
+   formulation kept in test/trws_oracle.ml. *)
+
 module Obs = Netdiv_obs.Obs
 module Recorder = Netdiv_obs.Recorder
 module Pool = Netdiv_par.Pool
@@ -20,36 +26,45 @@ type config = {
 let default_config =
   { max_iters = 100; tolerance = 1e-7; patience = 3; bound_every = 1 }
 
-(* Message state: for edge e = (u,v), [fw] holds the message into v
-   (length labels.(v)) and [bw] the message into u (length labels.(u)),
-   stored flat with per-edge offsets.  Messages, unaries and the bound
-   aggregation scratch live on unboxed [floatarray] slabs so the kernels
-   stream over contiguous doubles; per-solve mutable scratch lives in
+(* Message state, laid out so that every per-iteration pass streams over
+   its metadata in the order it walks the model's incidence rows (see
+   DESIGN.md, "TRW-S memory layout"):
+
+   - [msg] is one interleaved slab: edge e = (u, v) owns one block, its
+     message into u (length labels.(u)) followed by its message into v
+     (length labels.(v)), so both directions of an edge sit side by
+     side;
+   - [slot] holds one packed word per incidence slot (see [pack]): the
+     offset in [msg] of the message into the slot's node, the edge's
+     table id, and whether that node is the edge's u end.  The
+     neighbour comes from the model's [col], slot for slot;
+   - [chains] packs the monotonic chain decomposition (Kolmogorov) into
+     one array, chain after chain: the chain's length and its first
+     node, then two words per edge from lower to higher node order —
+     the edge's packed word seen from its lower end, and its higher
+     node.  Every edge belongs to exactly one chain; node [i] lies on
+     [max(#lower, #higher)] chains.  Chains are stored in descending
+     order of their first edge id, the order the bound sums their
+     minima in.
+
+   Unaries and the bound's weighted aggregates live on unboxed
+   [floatarray] slabs as well; per-solve mutable scratch lives in
    {!workspace}. *)
 type state = {
   labels : int array;
   unary_off : int array;
   unary : floatarray;  (* unboxed copy of the model's unaries *)
-  eu : int array;
-  ev : int array;
-  etab : int array;
   pot_off : int array;
   pot : float array;
   inc_off : int array;
-  inc : int array;
-  fw_off : int array;
-  bw_off : int array;
-  fw : floatarray;
-  bw : floatarray;
+  col : int array;
+  slot : int array;
+  msg : floatarray;
   classes : Kernel.t array;
-  lb_agg : floatarray;  (* lower_bound slab: gamma-weighted unaries *)
+  lb_agg : floatarray;
+      (* gamma-weighted aggregates, written by the backward sweep *)
   gamma : float array;
-  chains : int array array;
-      (* monotonic chain decomposition: each chain is the sequence of its
-         edge ids, traversed from lower to higher node order.  Every edge
-         belongs to exactly one chain; node [i] lies on
-         [max(#lower, #higher)] chains. *)
-  isolated : int list;  (* nodes with no incident edges *)
+  chains : int array;
 }
 
 (* Per-solve scratch, reused across all messages, so the hot path never
@@ -58,9 +73,17 @@ type state = {
 type workspace = {
   theta : floatarray;
   ks : Kernel.scratch;
-  dp : floatarray;  (* lower_bound chain DP, current *)
-  dp' : floatarray;  (* lower_bound chain DP, next *)
+  dp : floatarray;  (* lower_bound chain DP row *)
 }
+
+(* A packed word: message offset in the high bits, table id above the
+   orientation bit ([is_u]: the node the word belongs to is the edge's u
+   end).  The message into the other end sits at [off + labels(node)]
+   when [is_u], else at [off - labels(other end)]. *)
+let pack ~off ~tab ~is_u = (off lsl 31) lor (tab lsl 1) lor Bool.to_int is_u
+let[@inline] w_off w = w lsr 31
+let[@inline] w_tab w = (w lsr 1) land 0x3FFF_FFFF
+let[@inline] w_is_u w = w land 1 = 1
 
 let make_state mrf =
   let {
@@ -80,86 +103,74 @@ let make_state mrf =
     Mrf.Compact.arrays mrf
   in
   let n = Array.length labels and m = Array.length eu in
-  let fw_off = Array.make (m + 1) 0 and bw_off = Array.make (m + 1) 0 in
+  let base = Array.make (m + 1) 0 in
   for e = 0 to m - 1 do
-    fw_off.(e + 1) <- fw_off.(e) + labels.(ev.(e));
-    bw_off.(e + 1) <- bw_off.(e) + labels.(eu.(e))
+    base.(e + 1) <- base.(e) + labels.(eu.(e)) + labels.(ev.(e))
   done;
+  if base.(m) >= 1 lsl 31 || Array.length pot_off > 1 lsl 30 then
+    invalid_arg "Trws: model too large for the packed message layout";
+  let slot = Array.make (Array.length inc) 0 in
   let gamma = Array.make n 1.0 in
-  let backward = Array.make n [] and forward = Array.make n [] in
+  let succ = Array.make m (-1) and has_pred = Array.make m false in
   for i = 0 to n - 1 do
-    let lower = ref 0 and higher = ref 0 in
-    (* walk the incidence slice backwards so the per-node edge lists come
-       out sorted by opposite endpoint *)
-    for k = inc_off.(i + 1) - 1 downto inc_off.(i) do
-      let e = inc.(k) lsr 1 in
-      let j = col.(k) in
-      if j < i then begin
-        incr lower;
-        backward.(i) <- e :: backward.(i)
-      end
-      else begin
-        incr higher;
-        forward.(i) <- e :: forward.(i)
-      end
+    let lo = inc_off.(i) and hi = inc_off.(i + 1) in
+    let split = ref lo in
+    for p = lo to hi - 1 do
+      let e = inc.(p) lsr 1 and is_u = inc.(p) land 1 = 1 in
+      let off = if is_u then base.(e) else base.(e) + labels.(col.(p)) in
+      slot.(p) <- pack ~off ~tab:etab.(e) ~is_u;
+      if col.(p) < i then incr split
     done;
-    gamma.(i) <- 1.0 /. float_of_int (max 1 (max !lower !higher))
+    (* the slice is sorted by opposite endpoint, so the lower edges come
+       first: pair the k-th lower edge with the k-th higher one;
+       unpaired higher edges start chains, unpaired lower edges end
+       them *)
+    let lower = !split - lo and higher = hi - !split in
+    gamma.(i) <- 1.0 /. float_of_int (max 1 (max lower higher));
+    for k = 0 to min lower higher - 1 do
+      let e' = inc.(!split + k) lsr 1 in
+      succ.(inc.(lo + k) lsr 1) <- e';
+      has_pred.(e') <- true
+    done
   done;
-  (* Monotonic chain decomposition (Kolmogorov): at each node, pair its k-th
-     lower edge with its k-th higher edge; unpaired higher edges start
-     chains, unpaired lower edges end them. *)
-  let succ = Array.make m (-1) in
-  let has_pred = Array.make m false in
-  for i = 0 to n - 1 do
-    let rec pair lows highs =
-      match (lows, highs) with
-      | e :: lows', e' :: highs' ->
-          succ.(e) <- e';
-          has_pred.(e') <- true;
-          pair lows' highs'
-      | _ -> ()
-    in
-    pair backward.(i) forward.(i)
-  done;
-  let chains = ref [] in
-  for e = 0 to m - 1 do
-    if not has_pred.(e) then begin
-      let rec walk e acc =
-        let acc = e :: acc in
-        if succ.(e) >= 0 then walk succ.(e) acc else acc
-      in
-      chains := Array.of_list (List.rev (walk e [])) :: !chains
+  let heads = Array.fold_left (fun c p -> if p then c else c + 1) 0 has_pred in
+  let chains = Array.make (2 * (heads + m)) 0 in
+  let cur = ref 0 in
+  for e0 = m - 1 downto 0 do
+    if not has_pred.(e0) then begin
+      let head = !cur in
+      chains.(head + 1) <- min eu.(e0) ev.(e0);
+      cur := head + 2;
+      let e = ref e0 in
+      while !e >= 0 do
+        let u = eu.(!e) and v = ev.(!e) in
+        let off = if u < v then base.(!e) else base.(!e) + labels.(u) in
+        chains.(!cur) <- pack ~off ~tab:etab.(!e) ~is_u:(u < v);
+        chains.(!cur + 1) <- max u v;
+        cur := !cur + 2;
+        e := succ.(!e)
+      done;
+      chains.(head) <- (!cur - head - 2) / 2
     end
-  done;
-  let chains = Array.of_list !chains in
-  let isolated = ref [] in
-  for i = 0 to n - 1 do
-    if inc_off.(i + 1) = inc_off.(i) then isolated := i :: !isolated
   done;
   {
     labels;
     unary_off;
     unary = Float.Array.init unary_off.(n) (fun k -> unary.(k));
-    eu;
-    ev;
-    etab;
     pot_off;
     pot;
     inc_off;
-    inc;
-    fw_off;
-    bw_off;
-    fw = Float.Array.make fw_off.(m) 0.0;
-    bw = Float.Array.make bw_off.(m) 0.0;
+    col;
+    slot;
+    msg = Float.Array.make base.(m) 0.0;
     classes;
-    (* per-iteration bound scratch lives in the state: allocating it in
-       [lower_bound] made every iteration churn the minor heap, and
-       minor collections are stop-the-world across ALL domains — the
-       parallel zone solves then serialize on the GC barrier *)
+    (* per-iteration bound scratch lives in the state: allocating it per
+       bound made every iteration churn the minor heap, and minor
+       collections are stop-the-world across ALL domains — the parallel
+       zone solves then serialize on the GC barrier *)
     lb_agg = Float.Array.make unary_off.(n) 0.0;
     gamma;
     chains;
-    isolated = !isolated;
   }
 
 let make_workspace st =
@@ -168,7 +179,6 @@ let make_workspace st =
     theta = Float.Array.make kmax 0.0;
     ks = Kernel.make_scratch ~max_labels:kmax;
     dp = Float.Array.make kmax 0.0;
-    dp' = Float.Array.make kmax 0.0;
   }
 
 (* Aggregate node i's unary plus all incoming messages into [theta]. *)
@@ -179,58 +189,55 @@ let aggregate st i (theta : floatarray) =
     theta.%(x) <- st.unary.%(u0 + x)
   done;
   for p = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
-    let code = st.inc.(p) in
-    let e = code / 2 in
-    (* two scalar ifs, not a destructured tuple: this runs per incident
-       edge per node per sweep, and the tuple would be a fresh minor
-       allocation each time (minor GCs are global barriers under
-       domains) *)
-    let bwd = code land 1 = 1 in
-    let off = if bwd then st.bw_off.(e) else st.fw_off.(e) in
-    let msg = if bwd then st.bw else st.fw in
+    let off = w_off st.slot.(p) in
     for x = 0 to k - 1 do
-      theta.%(x) <- theta.%(x) +. msg.%(off + x)
+      theta.%(x) <- theta.%(x) +. st.msg.%(off + x)
     done
   done
 
 (* Update node [i]'s outgoing messages in direction [forward] (toward
-   higher neighbours when [forward], lower otherwise). *)
+   higher neighbours when [forward], lower otherwise).  The backward
+   sweep also stores i's gamma-weighted aggregate for the bound: the
+   messages into i that this sweep writes come from higher neighbours,
+   processed before i, and no later update of the iteration writes
+   one, so the aggregate is the one a pass after the sweep would read. *)
 let process_node st ws ~forward i =
   let theta = ws.theta in
   aggregate st i theta;
   let k = st.labels.(i) in
   let g = st.gamma.(i) in
+  if not forward then begin
+    let off = st.unary_off.(i) in
+    for x = 0 to k - 1 do
+      st.lb_agg.%(off + x) <- g *. theta.%(x)
+    done
+  end;
   for p = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
-    let code = st.inc.(p) in
-    let e = code / 2 in
-    let i_is_u = code land 1 = 1 in
-    let j = if i_is_u then st.ev.(e) else st.eu.(e) in
+    let j = st.col.(p) in
     if if forward then j > i else j < i then begin
+      let w = st.slot.(p) in
       let kj = st.labels.(j) in
-      let p0 = st.pot_off.(st.etab.(e)) in
-      (* message into i along e (to be subtracted) and out of i (to
-         be written); scalar ifs keep this allocation-free *)
-      let in_off = if i_is_u then st.bw_off.(e) else st.fw_off.(e) in
-      let in_msg = if i_is_u then st.bw else st.fw in
-      let out_off = if i_is_u then st.fw_off.(e) else st.bw_off.(e) in
-      let out_msg = if i_is_u then st.fw else st.bw in
+      let tab = w_tab w and i_is_u = w_is_u w in
+      (* message into i along the edge (to be subtracted) and out of i
+         (to be written), both in the edge's block *)
+      let in_off = w_off w in
+      let out_off = if i_is_u then in_off + k else in_off - kj in
       (* reduction input: reparameterized node cost minus the reverse
          message.  Precomputed once so every kernel — including the
          generic scan — reads it O(L) times instead of recomputing it
          O(L²) times. *)
       let h = ws.ks.Kernel.h in
       for xi = 0 to k - 1 do
-        h.%(xi) <- (g *. theta.%(xi)) -. in_msg.%(in_off + xi)
+        h.%(xi) <- (g *. theta.%(xi)) -. st.msg.%(in_off + xi)
       done;
       let vmin =
-        Kernel.update
-          st.classes.(st.etab.(e))
-          ~pot:st.pot ~p0 ~src_is_u:i_is_u ~k_src:k ~k_out:kj ~scratch:ws.ks
-          ~out:out_msg ~out_off
+        Kernel.update st.classes.(tab) ~pot:st.pot ~p0:st.pot_off.(tab)
+          ~src_is_u:i_is_u ~k_src:k ~k_out:kj ~scratch:ws.ks ~out:st.msg
+          ~out_off
       in
       (* normalize so the smallest entry is zero *)
       for xj = 0 to kj - 1 do
-        out_msg.%(out_off + xj) <- out_msg.%(out_off + xj) -. vmin
+        st.msg.%(out_off + xj) <- st.msg.%(out_off + xj) -. vmin
       done
     end
   done
@@ -252,115 +259,85 @@ let sweep st ws n forward =
    split as E(x) = sum_C E_C(x_C) with per-chain node costs gamma_i *
    theta_hat_i and reparameterized edge costs; the bound is the sum of the
    chains' independent minima, computed by dynamic programming along each
-   chain.  Valid for any message state (each chain min <= the chain's value
-   at the true optimum), and tight at TRW-S fixed points on trees.
+   chain, plus the unary minima of isolated nodes.  Valid for any message
+   state (each chain min <= the chain's value at the true optimum), and
+   tight at TRW-S fixed points on trees.  Reads the aggregates the last
+   backward sweep left in [lb_agg].
 
-   [lower_bound] first writes every node's gamma-weighted aggregate into
-   [lb_agg], then runs [chain_dp] per chain, which leaves the chain's
-   last DP row in [ws.dp] and returns its length; the chain minima are
-   summed in chain order. *)
-let chain_dp st ws ci =
-  let chain = st.chains.(ci) in
-  let agg = st.lb_agg in
-  let dp = ws.dp in
-  let dp' = ws.dp' in
-  let e0 = chain.(0) in
-  let first = if st.eu.(e0) < st.ev.(e0) then st.eu.(e0) else st.ev.(e0) in
-  let k0 = st.labels.(first) in
-  for x = 0 to k0 - 1 do
-    dp.%(x) <- agg.%(st.unary_off.(first) + x)
-  done;
-  let prev_k = ref k0 in
-  (* The per-edge DP transition is written out inline with the running
-     minimum accumulated directly in the [dp'] slab: a local
-     float-returning closure (boxed return per call without flambda) or
-     a [float ref] minimum (boxed store per assignment) here made every
-     bound evaluation allocate ~10^5 minor words, and under multicore
-     the resulting minor collections are stop-the-world barriers that
-     serialize otherwise independent zone solves.  The
-     reparameterized cost, oriented low node -> high node, is
-       pot[xu,xv] - fw[xv] - bw[xu]
-     with (xu, xv) = (x, y) when u < v and (y, x) otherwise. *)
-  Array.iter
-    (fun e ->
-      let u = st.eu.(e) and v = st.ev.(e) in
-      let kv = st.labels.(v) in
-      let pbase = st.pot_off.(st.etab.(e)) in
-      let fw0 = st.fw_off.(e) and bw0 = st.bw_off.(e) in
-      let hi = if u < v then v else u in
-      let kh = st.labels.(hi) in
-      for y = 0 to kh - 1 do
-        dp'.%(y) <- infinity
+   Each DP step is one [Kernel.update] into [dp], with the message into
+   the chain's low end folded into the reduction input and the message
+   into its high end subtracted after the minimum:
+     dp'[y] = (min_x (dp[x] - msg_into_low[x]) + pot[xu,xv])
+              - msg_into_high[y] + agg_high[y]
+   with (xu, xv) = (x, y) when the low node is u and (y, x) otherwise.
+   Subtracting after the minimum instead of inside it gives the same
+   bound bits: for a finite message, rounding is monotone, so the two
+   commute; for a non-finite one, the orders differ only where one
+   gives +inf and the other NaN, and such an entry only ever produces
+   +inf or NaN downstream, which no minimum (strict [<] from +inf)
+   selects.  The frozen oracle in the
+   tests checks this on non-finite costs. *)
+let lower_bound st ws n =
+  let ch = st.chains and msg = st.msg and agg = st.lb_agg in
+  let dp = ws.dp and h = ws.ks.Kernel.h in
+  let acc = ref 0.0 in
+  let cur = ref 0 in
+  while !cur < Array.length ch do
+    let len = ch.(!cur) and first = ch.(!cur + 1) in
+    let k_lo = ref st.labels.(first) in
+    Float.Array.blit agg st.unary_off.(first) dp 0 !k_lo;
+    for s = 0 to len - 1 do
+      let w = ch.(!cur + 2 + (2 * s)) and hi = ch.(!cur + 3 + (2 * s)) in
+      let kl = !k_lo and kh = st.labels.(hi) in
+      let lo_in = w_off w and lo_is_u = w_is_u w and tab = w_tab w in
+      let hi_in = if lo_is_u then lo_in + kl else lo_in - kh in
+      for x = 0 to kl - 1 do
+        h.%(x) <- dp.%(x) -. msg.%(lo_in + x)
       done;
-      if u < v then
-        for x = 0 to !prev_k - 1 do
-          let base = dp.%(x) -. st.bw.%(bw0 + x) in
-          let prow = pbase + (x * kv) in
-          for y = 0 to kh - 1 do
-            let c = base +. st.pot.(prow + y) -. st.fw.%(fw0 + y) in
-            if c < dp'.%(y) then dp'.%(y) <- c
-          done
-        done
-      else
-        for x = 0 to !prev_k - 1 do
-          let base = dp.%(x) -. st.fw.%(fw0 + x) in
-          for y = 0 to kh - 1 do
-            let c =
-              base +. st.pot.(pbase + (y * kv) + x) -. st.bw.%(bw0 + y)
-            in
-            if c < dp'.%(y) then dp'.%(y) <- c
-          done
-        done;
+      ignore
+        (Kernel.update st.classes.(tab) ~pot:st.pot ~p0:st.pot_off.(tab)
+           ~src_is_u:lo_is_u ~k_src:kl ~k_out:kh ~scratch:ws.ks ~out:dp
+           ~out_off:0);
       let hoff = st.unary_off.(hi) in
       for y = 0 to kh - 1 do
-        dp'.%(y) <- dp'.%(y) +. agg.%(hoff + y)
+        dp.%(y) <- dp.%(y) -. msg.%(hi_in + y) +. agg.%(hoff + y)
       done;
-      Float.Array.blit dp' 0 dp 0 kh;
-      prev_k := kh)
-    chain;
-  !prev_k
-
-let lower_bound st ws n =
-  for i = 0 to n - 1 do
-    aggregate st i ws.theta;
-    let off = st.unary_off.(i) in
-    for x = 0 to st.labels.(i) - 1 do
-      st.lb_agg.%(off + x) <- st.gamma.(i) *. ws.theta.%(x)
-    done
-  done;
-  let acc = ref 0.0 in
-  for ci = 0 to Array.length st.chains - 1 do
-    let k = chain_dp st ws ci in
-    let best = ref infinity in
-    for x = 0 to k - 1 do
-      if ws.dp.%(x) < !best then best := ws.dp.%(x)
+      k_lo := kh
     done;
-    acc := !acc +. !best
+    let best = ref infinity in
+    for x = 0 to !k_lo - 1 do
+      if dp.%(x) < !best then best := dp.%(x)
+    done;
+    acc := !acc +. !best;
+    cur := !cur + 2 + (2 * len)
   done;
-  List.iter
-    (fun i ->
+  for i = n - 1 downto 0 do
+    if st.inc_off.(i + 1) = st.inc_off.(i) then begin
       let best = ref infinity in
       for x = 0 to st.labels.(i) - 1 do
         let c = st.unary.%(st.unary_off.(i) + x) in
         if c < !best then best := c
       done;
-      acc := !acc +. !best)
-    st.isolated;
+      acc := !acc +. !best
+    end
+  done;
   !acc
 
 (* Message updates one full iteration (forward + backward sweep)
    performs, split by kernel class: each edge's two directed messages
-   are recomputed exactly once per iteration.  Computed once per solve
-   and flushed as one counter add per class per iteration, so the
-   per-message hot path carries no instrumentation at all. *)
-let count_messages st m =
+   (one per incidence slot) are recomputed exactly once per iteration.
+   Computed once per solve and flushed as one counter add per class per
+   iteration, so the per-message hot path carries no instrumentation at
+   all. *)
+let count_messages st =
   let potts = ref 0 and sparse = ref 0 and generic = ref 0 in
-  for e = 0 to m - 1 do
-    match st.classes.(st.etab.(e)) with
-    | Kernel.Potts _ -> potts := !potts + 2
-    | Kernel.Const_sparse _ -> sparse := !sparse + 2
-    | Kernel.Generic -> generic := !generic + 2
-  done;
+  Array.iter
+    (fun w ->
+      match st.classes.(w_tab w) with
+      | Kernel.Potts _ -> incr potts
+      | Kernel.Const_sparse _ -> incr sparse
+      | Kernel.Generic -> incr generic)
+    st.slot;
   (!potts, !sparse, !generic)
 
 (* Greedy decoding in node order: condition on already decoded lower
@@ -374,26 +351,22 @@ let decode st ws n x =
       theta.%(xi) <- st.unary.%(u0 + xi)
     done;
     for p = st.inc_off.(i) to st.inc_off.(i + 1) - 1 do
-      let code = st.inc.(p) in
-      let e = code / 2 in
-      let i_is_u = code land 1 = 1 in
-      let j = if i_is_u then st.ev.(e) else st.eu.(e) in
+      let j = st.col.(p) and w = st.slot.(p) in
       if j < i then begin
-        let p0 = st.pot_off.(st.etab.(e)) in
+        let p0 = st.pot_off.(w_tab w) in
         let kj = st.labels.(j) in
         for xi = 0 to k - 1 do
           let pair =
-            if i_is_u then st.pot.(p0 + (xi * kj) + x.(j))
+            if w_is_u w then st.pot.(p0 + (xi * kj) + x.(j))
             else st.pot.(p0 + (x.(j) * k) + xi)
           in
           theta.%(xi) <- theta.%(xi) +. pair
         done
       end
       else begin
-        let off = if i_is_u then st.bw_off.(e) else st.fw_off.(e) in
-        let msg = if i_is_u then st.bw else st.fw in
+        let off = w_off w in
         for xi = 0 to k - 1 do
-          theta.%(xi) <- theta.%(xi) +. msg.%(off + xi)
+          theta.%(xi) <- theta.%(xi) +. st.msg.%(off + xi)
         done
       end
     done;
@@ -405,7 +378,7 @@ let decode st ws n x =
   done
 
 (* The iteration loop: sweeps, convergence bookkeeping, telemetry. *)
-let run_loop ~config ~interrupt ~on_progress mrf st ws n m =
+let run_loop ~config ~interrupt ~on_progress mrf st ws n =
   (* enablement is sampled once per solve; per-iteration work below is
      a handful of counter adds and begin/end span records, all
      allocation-free, and zero when disabled *)
@@ -416,7 +389,7 @@ let run_loop ~config ~interrupt ~on_progress mrf st ws n m =
      zone solves) *)
   let rec_on = Recorder.installed () in
   let msg_potts, msg_sparse, msg_generic =
-    if obs_on || rec_on then count_messages st m else (0, 0, 0)
+    if obs_on || rec_on then count_messages st else (0, 0, 0)
   in
   let x = Array.make n 0 in
   let best_x = Array.make n 0 in
@@ -494,8 +467,8 @@ let solve ?(config = default_config) ?(interrupt = fun () -> false)
   let run () =
     let st = make_state mrf in
     let ws = make_workspace st in
-    let n = Mrf.n_nodes mrf and m = Mrf.n_edges mrf in
-    run_loop ~config ~interrupt ~on_progress mrf st ws n m
+    let n = Mrf.n_nodes mrf in
+    run_loop ~config ~interrupt ~on_progress mrf st ws n
   in
   let (labeling, energy, lb, iterations, converged), runtime_s =
     Solver.timed (fun () -> Obs.span ~name:"trws.solve" run)

@@ -7,9 +7,10 @@
     aggregated cost is weighted by [1 / max(#lower neighbours, #higher
     neighbours)], which makes the dual bound non-decreasing.
 
-    The reported lower bound is the reparameterization bound
-    [sum_i min θ̂_i + sum_e min θ̂_e], valid for any message state and tight
-    on trees.  Labelings are decoded greedily in node order, conditioning on
+    The reported lower bound is the monotonic-chain dual bound: the sum
+    over chains of each chain's minimum under its γ-weighted node costs
+    and reparameterized edge costs, plus the unary minima of isolated
+    nodes — valid for any message state and tight on trees.  Labelings are decoded greedily in node order, conditioning on
     already-decoded lower neighbours (Kolmogorov's scheme). *)
 
 type config = {

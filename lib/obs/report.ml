@@ -208,8 +208,26 @@ let diagnose frames =
             "boundary disagreement still shrinking (%d edge(s) at dump)"
             last.Recorder.b_disagree
   | [], _ :: _ ->
-      let last = List.nth ss (List.length ss - 1) in
-      let gap = sweep_gap last in
+      (* Primal-stage frames (ICM, SA) carry no bound.  When a dual
+         solver recorded too, its frames tell the stall story, and the
+         gap pairs the best energy of any stage with the best bound:
+         the stages of one recording solve one model. *)
+      let duals =
+        List.filter
+          (fun (s : Recorder.sweep_frame) -> s.Recorder.s_bound > neg_infinity)
+          ss
+      in
+      let energy =
+        List.fold_left
+          (fun e (s : Recorder.sweep_frame) -> Float.min e s.Recorder.s_energy)
+          infinity ss
+      and bound =
+        List.fold_left
+          (fun b (s : Recorder.sweep_frame) -> Float.max b s.Recorder.s_bound)
+          neg_infinity ss
+      in
+      let gap = rel_gap ~energy ~bound in
+      let ss = if duals = [] then ss else duals in
       if gap <= 0.0 then "converged: dual gap closed"
       else
         let recent = last_n 3 ss in

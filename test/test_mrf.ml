@@ -929,6 +929,156 @@ let prop_primal_matches_oracle =
             ~on_progress m);
       true)
 
+(* Differential check of TRW-S's interleaved message layout against the
+   frozen solver in trws_oracle.ml, plain and zoned: same labeling, same
+   energy and bound bits, same iteration count and [converged] flag,
+   same progress trace.  Tables are Potts, constant-plus-sparse or
+   generic, some shared between edges; a fifth of the models draw up to
+   8 labels per node, so sparse tables pass the kernel's cost test. *)
+
+type trws_case = {
+  t_seed : int;
+  t_nodes : int;
+  t_edges : int;
+  t_wide : bool;  (** labels 1-8 instead of 1-5 *)
+  t_halves : bool;  (** costs on a 0.5 grid, else continuous *)
+  t_nonfinite : bool;
+  t_bound_every : int;
+  t_max_iters : int;
+  t_stop_at : int;  (** interrupt fires from this poll on; 0 never *)
+  t_zones : int;
+}
+
+let trws_model c =
+  let rng = Random.State.make [| 0x7a5; c.t_seed |] in
+  let kmax = if c.t_wide then 8 else 5 in
+  let labels = Array.init c.t_nodes (fun _ -> 1 + Random.State.int rng kmax) in
+  let value () =
+    if c.t_nonfinite && Random.State.int rng 25 = 0 then
+      [| nan; infinity; neg_infinity |].(Random.State.int rng 3)
+    else if c.t_halves then 0.5 *. float_of_int (Random.State.int rng 5)
+    else Random.State.float rng 2.0 -. 0.5
+  in
+  let table ku kv =
+    match Random.State.int rng 3 with
+    | 0 when ku = kv ->
+        let off = value () in
+        Array.init (ku * kv) (fun k ->
+            if k / kv = k mod kv then value () else off)
+    | 1 ->
+        let base = value () in
+        let t = Array.make (ku * kv) base in
+        for _ = 1 to Random.State.int rng 3 do
+          t.(Random.State.int rng (ku * kv)) <- value ()
+        done;
+        t
+    | _ -> Array.init (ku * kv) (fun _ -> value ())
+  in
+  let shared = Hashtbl.create 8 in
+  let b = Mrf.Builder.create ~label_counts:labels in
+  for i = 0 to c.t_nodes - 1 do
+    Mrf.Builder.set_unary b ~node:i (Array.init labels.(i) (fun _ -> value ()))
+  done;
+  let last = ref None in
+  if c.t_nodes >= 2 then
+    for _ = 1 to c.t_edges do
+      let u, v =
+        match !last with
+        | Some (u, v) when Random.State.int rng 4 = 0 ->
+            if Random.State.bool rng then (u, v) else (v, u)
+        | _ ->
+            let u = Random.State.int rng c.t_nodes in
+            let d = 1 + Random.State.int rng (c.t_nodes - 1) in
+            (u, (u + d) mod c.t_nodes)
+      in
+      last := Some (u, v);
+      let shape = (labels.(u), labels.(v)) in
+      let t =
+        match Hashtbl.find_opt shared shape with
+        | Some t when Random.State.int rng 3 = 0 -> t
+        | _ ->
+            let t = table labels.(u) labels.(v) in
+            Hashtbl.replace shared shape t;
+            t
+      in
+      Mrf.Builder.add_edge b u v t
+    done;
+  let zone_of = Array.init c.t_nodes (fun _ -> Random.State.int rng c.t_zones) in
+  (Mrf.Builder.build b, zone_of)
+
+let trws_case_gen =
+  QCheck2.Gen.(
+    let* t_seed = 0 -- 1_000_000 in
+    let* t_nodes = 1 -- 9 in
+    let* t_edges = 0 -- (2 * t_nodes) in
+    let* t_wide = frequency [ (4, return false); (1, return true) ] in
+    let* t_halves = bool in
+    let* t_nonfinite = frequency [ (3, return false); (1, return true) ] in
+    let* t_bound_every = oneofl [ 1; 3 ] in
+    let* t_max_iters = oneofl [ 5; 100 ] in
+    let* t_stop_at = frequency [ (3, return 0); (1, 1 -- 6) ] in
+    let* t_zones = 1 -- 3 in
+    return
+      {
+        t_seed;
+        t_nodes;
+        t_edges;
+        t_wide;
+        t_halves;
+        t_nonfinite;
+        t_bound_every;
+        t_max_iters;
+        t_stop_at;
+        t_zones;
+      })
+
+let print_trws_case c =
+  Printf.sprintf
+    "seed=%d nodes=%d edges=%d wide=%b halves=%b nonfinite=%b \
+     bound_every=%d max_iters=%d stop_at=%d zones=%d"
+    c.t_seed c.t_nodes c.t_edges c.t_wide c.t_halves c.t_nonfinite
+    c.t_bound_every c.t_max_iters c.t_stop_at c.t_zones
+
+let prop_trws_matches_oracle =
+  QCheck2.Test.make ~count:1000 ~print:print_trws_case
+    ~name:"trws matches the frozen oracle" trws_case_gen (fun c ->
+      let m, zone_of = trws_model c in
+      let config =
+        {
+          Trws.default_config with
+          bound_every = c.t_bound_every;
+          max_iters = c.t_max_iters;
+        }
+      in
+      let agree what lib oracle =
+        if primal_outcome lib <> primal_outcome oracle then
+          QCheck2.Test.fail_reportf "%s differs from the oracle" what
+      in
+      let stop_at () =
+        let polls = ref 0 in
+        fun () ->
+          incr polls;
+          c.t_stop_at > 0 && !polls >= c.t_stop_at
+      in
+      agree "solve"
+        (fun on_progress ->
+          Trws.solve ~config ~interrupt:(stop_at ()) ~on_progress m)
+        (fun on_progress ->
+          Trws_oracle.solve ~config ~interrupt:(stop_at ()) ~on_progress m);
+      let zoned ?interrupt jobs on_progress =
+        Trws.solve_zoned ~config ?interrupt ~on_progress ~zone_of ~rounds:3
+          ~step:0.25 ~jobs m
+      in
+      agree "solve_zoned"
+        (zoned ~interrupt:(stop_at ()) 1)
+        (fun on_progress ->
+          Trws_oracle.solve_zoned ~config ~interrupt:(stop_at ()) ~on_progress
+            ~zone_of ~rounds:3 ~step:0.25 m);
+      (* zone solves run concurrently at jobs 2, so a poll-counting
+         interrupt would see a schedule-dependent sequence *)
+      agree "solve_zoned at jobs 2" (zoned 2) (zoned 1);
+      true)
+
 let () =
   Alcotest.run "mrf"
     [
@@ -1012,5 +1162,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_trws_sandwich;
           QCheck_alcotest.to_alcotest prop_decode_valid;
           QCheck_alcotest.to_alcotest prop_primal_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_trws_matches_oracle;
         ] );
     ]

@@ -383,7 +383,29 @@ let test_primal_solver_spans () =
         [ "B"; "E" ])
     [ "icm.solve"; "sa.solve"; "bnb.solve" ];
   Alcotest.(check bool)
-    "results bitwise equal with tracing on and off" true (off = on)
+    "results bitwise equal with tracing on and off" true (off = on);
+  Obs.set_enabled false;
+  let module R = Netdiv_obs.Recorder in
+  let recorded = R.with_recorder (R.create "primal") solve in
+  Alcotest.(check bool)
+    "results bitwise equal with the recorder installed" true
+    (off = recorded);
+  (* ICM records one sweep frame per sweep, with no dual bound *)
+  let r = R.create "icm" in
+  let icm = R.with_recorder r (fun () -> Icm.solve mrf) in
+  let sweeps =
+    List.filter_map (function R.Sweep s -> Some s | _ -> None) (R.frames r)
+  in
+  Alcotest.(check (list int))
+    "one frame per icm sweep"
+    (List.init icm.Solver.iterations (fun s -> s + 1))
+    (List.map (fun (s : R.sweep_frame) -> s.R.s_iter) sweeps);
+  Alcotest.(check bool) "no bound" true
+    (List.for_all (fun (s : R.sweep_frame) -> s.R.s_bound = neg_infinity)
+       sweeps);
+  Alcotest.(check bool) "last frame carries the final energy" true
+    ((List.nth sweeps (List.length sweeps - 1)).R.s_energy
+     = icm.Solver.energy)
 
 (* --------------------------------------------------- flight recorder *)
 
@@ -638,7 +660,25 @@ let test_recorder_report_analysis () =
   Alcotest.(check bool) "50% milestone reached" true
     (List.exists (fun m -> m.Obs_report.m_gap_pct = 50.0) ms);
   Alcotest.(check bool) "0.1% milestone not reached" true
-    (not (List.exists (fun m -> m.Obs_report.m_gap_pct = 0.1) ms))
+    (not (List.exists (fun m -> m.Obs_report.m_gap_pct = 0.1) ms));
+  (* bound-less primal frames (an ICM polish) after a flat dual: the
+     stall story stays the dual solver's, the gap takes the best energy *)
+  let r = Recorder.create "polish" in
+  let sweep ~iter ~energy ~bound =
+    Recorder.sweep ~iter ~energy ~bound ~residual:0.0 ~msg_potts:0
+      ~msg_sparse:0 ~msg_generic:0
+  in
+  Recorder.with_recorder r (fun () ->
+      for iter = 1 to 3 do
+        sweep ~iter ~energy:100.0 ~bound:10.0
+      done;
+      sweep ~iter:1 ~energy:60.0 ~bound:neg_infinity;
+      sweep ~iter:2 ~energy:60.0 ~bound:neg_infinity);
+  Alcotest.(check string)
+    "dual stall, primal energy"
+    "stalled: no energy/bound progress over the last 3 bound evaluations \
+     (gap 83.3%)"
+    (Obs_report.diagnose (Recorder.frames r))
 
 let () =
   Alcotest.run "netdiv_obs"
